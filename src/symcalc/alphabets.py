@@ -14,7 +14,8 @@ from functools import lru_cache
 
 from .coeffs import ParamPoly, binomial_series_coeff, coeff_frobenius
 from .partitions import partition
-from .symfunc import SymExpr, _from_p, _to_p, homog, power
+from .symfunc import (SymExpr, _add_scaled, _from_p, _p_mult_basis,
+                      _to_p, power)
 
 
 class TruncatedSeries:
@@ -70,22 +71,6 @@ def _pk_on_terms(pterms: dict, k: int, cap=None) -> dict:
     return out
 
 
-def _p_product(factors, cap=None) -> dict:
-    acc = {(): Fraction(1)}
-    for terms in factors:
-        nxt: dict = {}
-        for lam, c in acc.items():
-            for mu, d in terms.items():
-                key = tuple(sorted(lam + mu, reverse=True))
-                if cap is not None and sum(key) > cap:
-                    continue
-                cd = c * d
-                prev = nxt.get(key)
-                nxt[key] = cd if prev is None else prev + cd
-        acc = {key: v for key, v in nxt.items() if v}
-    return acc
-
-
 def outer_plethysm(f: SymExpr, g):
     """f o g by power-sum substitution.
 
@@ -97,14 +82,11 @@ def outer_plethysm(f: SymExpr, g):
         gp, cap = _to_p(g.expr), g.cap
     else:
         gp, cap = _to_p(g), None
-    fp = _to_p(f)
     out: dict = {}
-    for alpha, c in fp.items():
-        piece = _p_product((_pk_on_terms(gp, k, cap) for k in alpha), cap)
-        for nu, d in piece.items():
-            cd = c * d
-            prev = out.get(nu)
-            out[nu] = cd if prev is None else prev + cd
+    for alpha, c in _to_p(f).items():
+        piece = _p_mult_basis((_pk_on_terms(gp, k, cap).items()
+                               for k in alpha), cap)
+        _add_scaled(out, c, piece.items())
     result = _from_p({k: v for k, v in out.items() if v},
                      f.basis)
     if cap is not None:
@@ -116,15 +98,10 @@ def shift_alphabet(f: SymExpr, c: int) -> SymExpr:
     """f(X+c) for c = +1 or -1: substitute p_k -> p_k + c."""
     if c not in (1, -1):
         raise ValueError("shift must be +1 or -1")
-    fp = _to_p(f)
     out: dict = {}
-    for nu, coef in fp.items():
-        factors = ({(k,): Fraction(1), (): Fraction(c)} for k in nu)
-        piece = _p_product(factors)
-        for key, d in piece.items():
-            cd = coef * d
-            prev = out.get(key)
-            out[key] = cd if prev is None else prev + cd
+    for nu, coef in _to_p(f).items():
+        factors = ((((k,), Fraction(1)), ((), Fraction(c))) for k in nu)
+        _add_scaled(out, coef, _p_mult_basis(factors).items())
     return _from_p({k: v for k, v in out.items() if v},
                    f.basis)
 
@@ -243,7 +220,3 @@ def binomial_exp_product(exponents, cap: int, param: str = "t") -> TruncatedSeri
         result = result * TruncatedSeries(SymExpr("p", terms), cap)
     return result
 
-
-def adams_on_params(expr: SymExpr, k: int) -> SymExpr:
-    """Raise only the formal parameters of expr to the k-th power."""
-    return expr.map_coeffs(lambda c: coeff_frobenius(c, k))

@@ -56,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("expression")
     p.add_argument("--basis", choices=("s", "h", "e", "m", "p"), default="s")
-    p.add_argument("--cap", type=int, default=12,
-                   help="truncation degree for infinite-alphabet steps")
+    p.add_argument("--cap", type=int, default=None,
+                   help="print only the terms of degree at most CAP "
+                        "(default: no truncation; a note on stderr says "
+                        "when terms were dropped)")
     p.add_argument("--format", choices=("text", "json", "latex"),
                    default="text")
 
@@ -104,8 +106,13 @@ def _run(args) -> int:
             return EXIT_EVAL
         if isinstance(value, SymExpr):
             value = value.in_basis(args.basis)
-            if args.cap >= 0:
-                value = value.truncate(args.cap)
+            if args.cap is not None and args.cap >= 0:
+                kept = value.truncate(args.cap)
+                dropped = len(value.terms) - len(kept.terms)
+                if dropped:
+                    print(f"note: --cap {args.cap} dropped {dropped} "
+                          f"term(s) of higher degree", file=sys.stderr)
+                value = kept
         out.write(render_value(value, args.format) + "\n")
         return EXIT_OK
 

@@ -207,9 +207,6 @@ class ParamPoly:
             return res.constant_value()
         return res
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- serialization -----------------------------------------------
 
     def to_json(self):
@@ -258,10 +255,6 @@ def _align_full(a: ParamPoly, b: ParamPoly):
 
 
 # -- generic coefficient helpers --------------------------------------
-
-
-def coeff_is_zero(c: Coeff) -> bool:
-    return not c
 
 
 def coeff_frobenius(c: Coeff, k: int) -> Coeff:

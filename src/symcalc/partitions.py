@@ -127,3 +127,27 @@ def horizontal_strip_subshapes(lam: tuple) -> list:
 
     rec(0, ())
     return out
+
+
+def horizontal_strip_supershapes(nu: tuple, k: int) -> list:
+    """All lam supseteq nu such that lam/nu is a horizontal strip of size k.
+
+    These are the lam interlacing nu from above: nu_i <= lam_i <= nu_{i-1}
+    for i >= 1, with lam_0 >= nu_0 unbounded and one new row allowed.
+    The rows below row i can take at most nu_i more boxes, so lam_i >=
+    (boxes left to place); the work is proportional to the output, not k.
+    """
+    rows = len(nu) + 1
+    out: list = []
+
+    def rec(i: int, left: int, prefix: tuple):
+        if i == rows:
+            out.append(tuple(x for x in prefix if x > 0))
+            return
+        lo = nu[i] if i < len(nu) else 0
+        hi = lo + left if i == 0 else min(nu[i - 1], lo + left)
+        for a in range(hi, max(lo, left) - 1, -1):
+            rec(i + 1, left - (a - lo), prefix + (a,))
+
+    rec(0, k, ())
+    return out

@@ -16,13 +16,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .alphabets import (invert_sigma, outer_plethysm, shift_alphabet,
-                        sigma_minus_one, sigma_series)
+from .alphabets import (outer_plethysm, shift_alphabet, sigma_minus_one,
+                        sigma_series)
 from .cache import cached_table
 from .coeffs import Coeff, as_fraction, coeff_from_json, coeff_to_json
 from .partitions import (canonical_key, horizontal_strip_subshapes,
-                         multiplicities, partition, partitions_of,
-                         partitions_up_to, z_value)
+                         horizontal_strip_supershapes, multiplicities,
+                         partition, partitions_of, partitions_up_to, z_value)
 from .symfunc import (SymExpr, convert, foulkes_derivative, hall_scalar,
                       homog, lr_coefficient, mono, multiply, power, schur)
 
@@ -104,15 +104,14 @@ def evaluate_at_n(sc: StableChar, n: int) -> SymExpr:
     """Degree-n component of sigma_1 * reduced, i.e. the character at S_n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    red = convert(sc.reduced, "s")
-    total = SymExpr("s")
-    for nu, c in red.terms.items():
-        k = n - sum(nu)
-        if k < 0:
-            continue
-        total = total + multiply(homog([k] if k else []),
-                                 SymExpr("s", {nu: c}))
-    return convert(total, "s")
+    out: dict = {}
+    for nu, c in convert(sc.reduced, "s").terms.items():
+        if sum(nu) <= n:
+            # Pieri: h_k s_nu = sum of s_lam over horizontal k-strips lam/nu
+            for lam in horizontal_strip_supershapes(nu, n - sum(nu)):
+                prev = out.get(lam)
+                out[lam] = c if prev is None else prev + c
+    return SymExpr("s", out)
 
 
 def stable_kron(a: StableChar, b: StableChar) -> StableChar:
@@ -326,7 +325,6 @@ def transition(kind: str, degree_cap: int) -> dict:
       c: h_lam   = sum c_lam^mu h~_mu             (<h_lam, m_mu[sigma_1-1]>)
       a: s_lam   = sum a_lam^mu s~_mu   (<s_lam, sigma_1[sigma_1-1] s_mu[sigma_1-1]>)
       b: s~_lam  = sum b_lam^mu s_mu
-      d: <h_lam, h_mu[M]> with sigma_1 o M = 1 + p_1
     """
     parts = [p for p in partitions_up_to(degree_cap) if p]
     cols = partitions_up_to(degree_cap)
@@ -357,14 +355,6 @@ def transition(kind: str, degree_cap: int) -> dict:
         for lam in parts:
             for mu, c in tilde_s(lam).terms.items():
                 out[(lam, mu)] = c
-    elif kind == "d":
-        m = invert_sigma(degree_cap)
-        for mu in parts:
-            hmu = outer_plethysm(homog(mu), m)
-            for lam in parts:
-                c = hall_scalar(homog(lam), hmu.expr)
-                if c:
-                    out[(lam, mu)] = c
     else:
         raise ValueError(f"unknown transition kind {kind!r}")
     return out

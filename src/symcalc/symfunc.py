@@ -6,12 +6,16 @@ first-class.  Everything pivots through the power-sum basis, where the
 Hall pairing, internal product and Foulkes derivative are diagonal or
 multiplicative:
 
-* h,e <-> p by Newton recurrences,
+* h,e -> p by Newton's identity n h_n = sum_k p_k h_{n-k},
+* p -> h,e by Newton's identity p_k = k h_k - sum_{i<k} h_{k-i} p_i,
+  a product over the parts of p_nu, with omega for e,
 * s <-> p by Murnaghan-Nakayama characters,
-* m <-> p by monomial expansion of p_lambda and per-degree inversion.
+* p -> m by counting monomials of p_lambda, and m -> p by Hall duality
+  with h: m_lambda = sum_nu [h_lambda]p_nu p_nu / z_nu.
 
-Transition data is memoized per degree (optionally persisted, see
-``symcalc.cache``).
+Products in the multiplicative bases p, h and e all go through one
+kernel, ``_p_mult_basis``.  Transition data is memoized in memory; the
+character tables can also be persisted (see ``symcalc.cache``).
 """
 
 from __future__ import annotations
@@ -215,6 +219,36 @@ def _punkey(s: str) -> tuple:
     return tuple(int(x) for x in s.split(",")) if s else ()
 
 
+def _add_scaled(out: dict, c, terms) -> None:
+    """out += c * terms, for an iterable of (partition, coeff) pairs."""
+    for nu, d in terms:
+        prev = out.get(nu)
+        cd = c * d
+        out[nu] = cd if prev is None else prev + cd
+
+
+def _p_mult_basis(factors, cap=None) -> dict:
+    """Product of expansions in a multiplicative basis (p, h or e).
+
+    Each factor is an iterable of (partition, coeff) pairs; keys
+    concatenate and sort.  With ``cap``, terms above that degree are
+    dropped as they arise.
+    """
+    acc = {(): Fraction(1)}
+    for terms in factors:
+        nxt: dict = {}
+        for lam, c in acc.items():
+            for mu, d in terms:
+                key = tuple(sorted(lam + mu, reverse=True))
+                if cap is not None and sum(key) > cap:
+                    continue
+                cd = c * d
+                prev = nxt.get(key)
+                nxt[key] = cd if prev is None else prev + cd
+        acc = {k: v for k, v in nxt.items() if v}
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _hn_in_p(n: int):
     """p-expansion of h_n via Newton: n h_n = sum p_k h_{n-k}."""
@@ -222,9 +256,8 @@ def _hn_in_p(n: int):
         return (((), Fraction(1)),)
     acc: dict = {}
     for k in range(1, n + 1):
-        for lam, c in _hn_in_p(n - k):
-            key = tuple(sorted(lam + (k,), reverse=True))
-            acc[key] = acc.get(key, Fraction(0)) + c
+        p = (((k,), Fraction(1)),)
+        _add_scaled(acc, 1, _p_mult_basis((p, _hn_in_p(n - k))).items())
     return tuple(sorted(((lam, c / n) for lam, c in acc.items()),
                         key=lambda kv: canonical_key(kv[0])))
 
@@ -309,50 +342,41 @@ def _p_in_m_count(lam: tuple, mu: tuple) -> int:
     return rec(0, mu)
 
 
-def _invert_unitri(parts, matrix_entry):
-    """Invert a square rational matrix indexed by ``parts`` (Gaussian)."""
-    n = len(parts)
-    a = [[Fraction(matrix_entry(parts[i], parts[j])) for j in range(n)]
-         for i in range(n)]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+@lru_cache(maxsize=None)
+def _p_in_m(nu: tuple):
+    """m-expansion of p_nu, by counting monomials."""
+    return tuple((mu, r) for mu in partitions_of(sum(nu))
+                 if (r := _p_in_m_count(nu, mu)))
+
+
+@lru_cache(maxsize=None)
+def _pk_in_h(k: int):
+    """h-expansion of p_k via Newton: p_k = k h_k - sum_{i<k} h_{k-i} p_i."""
+    acc = {(k,): Fraction(k)}
+    for i in range(1, k):
+        h = (((k - i,), Fraction(-1)),)
+        _add_scaled(acc, 1, _p_mult_basis((h, _pk_in_h(i))).items())
+    return tuple((lam, c) for lam, c in acc.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _p_in_h(nu: tuple):
+    """h-expansion of p_nu: h is multiplicative, so a product over parts."""
+    if not nu:
+        return (((), Fraction(1)),)
+    return tuple(_p_mult_basis((_pk_in_h(nu[0]), _p_in_h(nu[1:]))).items())
 
 
 @lru_cache(maxsize=None)
 def _m_in_p_degree(n: int):
-    """All m_lambda of degree n expanded in p, by inverting p->m."""
-    def compute():
-        parts = partitions_of(n)
-        inv = _invert_unitri(parts, _p_in_m_count)
-        return {parts[i]: tuple((parts[j], inv[i][j])
-                                for j in range(len(parts)) if inv[i][j])
-                for i in range(len(parts))}
-
-    def encode(table):
-        return {_pkey(lam): {_pkey(nu): [str(c.numerator), str(c.denominator)]
-                             for nu, c in row}
-                for lam, row in table.items()}
-
-    def decode(payload):
-        return {_punkey(l): tuple(sorted(
-            ((_punkey(nu), Fraction(int(c[0]), int(c[1])))
-             for nu, c in row.items()), key=lambda kv: canonical_key(kv[0])))
-            for l, row in payload.items()}
-
-    return _cache.cached_table("m2p", str(n), compute, encode, decode)
+    """All m_lambda of degree n in p, by Hall duality with h:
+    m_lambda = sum_nu [h_lambda]p_nu p_nu / z_nu."""
+    rows: dict = {lam: [] for lam in partitions_of(n)}
+    for nu in partitions_of(n):
+        z = z_value(nu)
+        for lam, c in _p_in_h(nu):
+            rows[lam].append((nu, c / z))
+    return {lam: tuple(row) for lam, row in rows.items()}
 
 
 def _m_in_p(lam: tuple):
@@ -362,21 +386,6 @@ def _m_in_p(lam: tuple):
 # -- basis conversion ---------------------------------------------------
 
 
-def _p_mult_basis(factors) -> dict:
-    """Product of p-basis dicts (keys concatenate and sort)."""
-    acc = {(): Fraction(1)}
-    for terms in factors:
-        nxt: dict = {}
-        for lam, c in acc.items():
-            for mu, d in terms:
-                key = tuple(sorted(lam + mu, reverse=True))
-                cd = c * d
-                prev = nxt.get(key)
-                nxt[key] = cd if prev is None else prev + cd
-        acc = {k: v for k, v in nxt.items() if v}
-    return acc
-
-
 def _to_p(expr: SymExpr) -> dict:
     """Expansion of expr in the p basis: dict partition -> Coeff."""
     if expr.basis == "p":
@@ -384,61 +393,45 @@ def _to_p(expr: SymExpr) -> dict:
     out: dict = {}
     for lam, c in expr.terms.items():
         if expr.basis == "h":
-            piece = _p_mult_basis(_hn_in_p(part) for part in lam)
+            piece = _p_mult_basis(_hn_in_p(part) for part in lam).items()
         elif expr.basis == "e":
-            piece = _p_mult_basis(_en_in_p(part) for part in lam)
+            piece = _p_mult_basis(_en_in_p(part) for part in lam).items()
         elif expr.basis == "s":
-            piece = dict(_sn_in_p(lam))
+            piece = _sn_in_p(lam)
         else:
-            piece = dict(_m_in_p(lam))
-        for nu, d in piece.items():
-            prev = out.get(nu)
-            cd = c * d
-            out[nu] = cd if prev is None else prev + cd
+            piece = _m_in_p(lam)
+        _add_scaled(out, c, piece)
     return {k: v for k, v in out.items() if v}
 
 
 def _from_p(pterms: dict, target: str) -> SymExpr:
     if target == "p":
         return SymExpr("p", pterms)
+    out: dict = {}
+    if target in ("h", "e"):
+        # e through the omega involution, which is a sign on p_nu
+        for nu, c in pterms.items():
+            if target == "e" and (sum(nu) - len(nu)) % 2:
+                c = -c
+            _add_scaled(out, c, _p_in_h(nu))
+        return SymExpr(target, out)
+    if target == "m":
+        for nu, c in pterms.items():
+            _add_scaled(out, c, _p_in_m(nu))
+        return SymExpr("m", out)
     by_deg: dict = {}
     for nu, c in pterms.items():
         by_deg.setdefault(sum(nu), {})[nu] = c
-    out: dict = {}
     for d, terms in by_deg.items():
-        if target == "m":
+        for lam in partitions_of(d):
+            acc = None
             for nu, c in terms.items():
-                for mu in partitions_of(d):
-                    r = _p_in_m_count(nu, mu)
-                    if r:
-                        prev = out.get(mu)
-                        cr = c * r
-                        out[mu] = cr if prev is None else prev + cr
-        elif target == "s":
-            for lam in partitions_of(d):
-                acc = None
-                for nu, c in terms.items():
-                    chi = char_value(lam, nu)
-                    if chi:
-                        piece = c * chi
-                        acc = piece if acc is None else acc + piece
-                if acc is not None:
-                    out[lam] = acc
-        else:  # h or e via duality with m; e through the omega involution
-            use = terms
-            if target == "e":
-                use = {nu: (c if (sum(nu) - len(nu)) % 2 == 0 else -c)
-                       for nu, c in terms.items()}
-            for lam in partitions_of(d):
-                acc = None
-                row = dict(_m_in_p(lam))
-                for nu, c in use.items():
-                    w = row.get(nu)
-                    if w:
-                        piece = c * (w * z_value(nu))
-                        acc = piece if acc is None else acc + piece
-                if acc is not None:
-                    out[lam] = acc
+                chi = char_value(lam, nu)
+                if chi:
+                    piece = c * chi
+                    acc = piece if acc is None else acc + piece
+            if acc is not None:
+                out[lam] = acc
     return SymExpr(target, out)
 
 
@@ -451,15 +444,8 @@ def convert(f: SymExpr, target: str) -> SymExpr:
 
 def multiply(f: SymExpr, g: SymExpr) -> SymExpr:
     """Outer product, returned in the basis of f."""
-    a, b = _to_p(f), _to_p(g)
-    out: dict = {}
-    for lam, c in a.items():
-        for mu, d in b.items():
-            key = tuple(sorted(lam + mu, reverse=True))
-            cd = c * d
-            prev = out.get(key)
-            out[key] = cd if prev is None else prev + cd
-    return _from_p({k: v for k, v in out.items() if v}, f.basis)
+    return _from_p(_p_mult_basis((_to_p(f).items(), _to_p(g).items())),
+                   f.basis)
 
 
 def hall_scalar(f: SymExpr, g: SymExpr) -> Coeff:

@@ -190,3 +190,55 @@ def test_unknown_section():
     code, _, err = run_cli(["tables", "--section", "h-on-tilde-h",
                             "--max-degree", "0"])
     assert code == 3
+
+
+def test_eval_prints_high_degree_in_full():
+    code, out, err = run_cli(["eval", "s[7] * s[6]"])
+    assert code == 0
+    assert out.strip() == ("s[13] + s[12,1] + s[11,2] + s[10,3] + s[9,4] "
+                           "+ s[8,5] + s[7,6]")
+    assert err == ""
+
+
+def test_eval_cap_warns_when_terms_dropped():
+    code, out, err = run_cli(["eval", "s[7] * s[6]", "--cap", "12"])
+    assert code == 0
+    assert out.strip() == "0"
+    assert "--cap 12" in err and "dropped" in err
+    code, out, err = run_cli(["eval", "s[7] * s[6]", "--cap", "13"])
+    assert code == 0 and "s[13]" in out and err == ""
+
+
+def test_cold_run_writes_no_m2p_table(tmp_path):
+    import os
+    cache = str(tmp_path / "cache")
+    argv = [sys.executable, "-m", "symcalc.cli", "--cache", cache, "tables",
+            "--section", "h-on-tilde-h", "--max-degree", "4"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert os.listdir(cache)
+    assert not [f for f in os.listdir(cache) if f.startswith("m2p-")]
+
+
+def test_stale_m2p_table_is_not_read(tmp_path):
+    # a well-formed (right version and checksum) but wrong m -> p table
+    import hashlib
+    import os
+    from symcalc.cache import FORMAT_VERSION
+    from symcalc.partitions import partitions_of
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    payload = {",".join(map(str, lam)): {",".join(map(str, lam)): ["1", "1"]}
+               for lam in partitions_of(4)}
+    text = json.dumps(payload, sort_keys=True)
+    doc = {"version": FORMAT_VERSION, "payload": payload,
+           "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    (cache / "m2p-4.json").write_text(json.dumps(doc, sort_keys=True))
+    argv = [sys.executable, "-m", "symcalc.cli", "--cache", str(cache),
+            "tables", "--section", "h-on-tilde-h", "--max-degree", "4"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0
+    ref = os.path.join(os.path.dirname(__file__), "data", "tables",
+                       "h-on-tilde-h-4.txt")
+    with open(ref) as fh:
+        assert proc.stdout == fh.read()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symcalc.partitions import (canonical_key, conjugate, contains,
-                                horizontal_strip_subshapes, multiplicities,
+                                horizontal_strip_subshapes,
+                                horizontal_strip_supershapes, multiplicities,
                                 partition, partitions_of, partitions_up_to,
                                 power_cycle_type, sort_to_partition, z_value)
 
@@ -76,3 +77,14 @@ def test_horizontal_strips():
     # subshapes mu of lam with lam/mu a horizontal strip: interlacing rows
     strips = horizontal_strip_subshapes((2, 1))
     assert set(strips) == {(2, 1), (1, 1), (2,), (1,)}
+
+
+def test_horizontal_strip_supershapes_dual_to_subshapes():
+    for n in range(6):
+        for nu in partitions_of(n):
+            for k in range(4):
+                sup = horizontal_strip_supershapes(nu, k)
+                assert len(set(sup)) == len(sup)
+                want = [lam for lam in partitions_of(n + k)
+                        if nu in horizontal_strip_subshapes(lam)]
+                assert sorted(sup) == sorted(want), (nu, k)

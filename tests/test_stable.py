@@ -11,8 +11,8 @@ from symcalc.stable import (CharPolynomial, StableChar, angle,
                             stable_kron, straighten_schur, tilde_h,
                             tilde_h_expand, tilde_s, tilde_x, to_angle_basis,
                             transition, vector_partition_count)
-from symcalc.symfunc import (hall_scalar, homog, internal, mn_character,
-                             mono, schur)
+from symcalc.symfunc import (SymExpr, hall_scalar, homog, internal,
+                             mn_character, mono, multiply, schur)
 
 
 def test_straighten():
@@ -247,3 +247,32 @@ def test_stable_char_json_roundtrip():
 def test_charpoly_json_roundtrip():
     cp = character_polynomial((2, 1))
     assert CharPolynomial.from_json(cp.to_json()) == cp
+
+
+def _evaluate_at_n_by_multiply(sc, n):
+    # h_{n-|nu|} s_nu through the power-sum product, as a reference
+    total = SymExpr("s")
+    for nu, c in sc.reduced.in_basis("s").terms.items():
+        k = n - sum(nu)
+        if k >= 0:
+            total = total + multiply(homog([k] if k else []),
+                                     SymExpr("s", {nu: c}))
+    return total.in_basis("s")
+
+
+def test_evaluate_at_n_pieri_matches_products():
+    for sc in (angle([2, 1]), angle([2, 2]), dangle([2, 1]),
+               angle([3, 1, 1]), angle([])):
+        for n in range(10):
+            assert evaluate_at_n(sc, n) == _evaluate_at_n_by_multiply(sc, n)
+    lam, mu = (2, 1), (1, 1)
+    prod = stable_kron(angle(lam), angle(mu))
+    for n in (8, 9):
+        assert evaluate_at_n(prod, n) == _evaluate_at_n_by_multiply(prod, n)
+        assert evaluate_at_n(prod, n) == internal(evaluate_at_n(angle(lam), n),
+                                                  evaluate_at_n(angle(mu), n))
+
+
+def test_evaluate_at_n_degree_20():
+    got = evaluate_at_n(angle([2, 1]), 20)
+    assert got.basis == "s" and got.terms == {(17, 2, 1): 1}

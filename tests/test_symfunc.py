@@ -198,3 +198,34 @@ def test_foulkes_derivative_adjoint():
 def test_json_roundtrip():
     f = schur([3, 1]) + schur([2, 2], -2)
     assert SymExpr.from_json(f.to_json()) == f
+
+
+def test_m_to_p_rows_invert_monomial_counts():
+    # Hall-duality rows of m -> p times the combinatorial p -> m count
+    # give the identity at every degree up to 10
+    from symcalc.symfunc import _m_in_p, _p_in_m_count
+    for n in range(11):
+        parts = partitions_of(n)
+        for lam in parts:
+            row = _m_in_p(lam)
+            for mu in parts:
+                total = sum((c * _p_in_m_count(nu, mu) for nu, c in row),
+                            Fraction(0))
+                assert total == (1 if lam == mu else 0), (lam, mu)
+
+
+def test_h_m_duality_degree_10():
+    parts = partitions_of(10)
+    h = {lam: homog(lam).in_basis("p") for lam in parts}
+    m = {mu: mono(mu).in_basis("p") for mu in parts}
+    for lam in parts:
+        for mu in parts:
+            assert hall_scalar(h[lam], m[mu]) == (1 if lam == mu else 0)
+
+
+def test_power_sum_h_roundtrip():
+    for k in range(1, 13):
+        in_h = power([k]).in_basis("h")
+        assert in_h.basis == "h"
+        back = in_h.in_basis("p")
+        assert back.basis == "p" and back.terms == {(k,): 1}
