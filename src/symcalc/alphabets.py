@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import ParamPoly, binomial_series_coeff, coeff_frobenius
-from .partitions import partition
 from .symfunc import (SymExpr, _add_scaled, _from_p, _p_mult_basis,
                       _to_p, power)
 
@@ -46,8 +45,10 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.expr * other.expr,
-                                   min(self.cap, other.cap))
+            cap = min(self.cap, other.cap)
+            prod = _p_mult_basis((_to_p(self.expr).items(),
+                                  _to_p(other.expr).items()), cap)
+            return TruncatedSeries(_from_p(prod, self.expr.basis), cap)
         return TruncatedSeries(self.expr * other, self.cap)
 
     __rmul__ = __mul__

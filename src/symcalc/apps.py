@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .alphabets import (TruncatedSeries, binomial_exp_product, lie_character,
                         outer_plethysm, sigma_series)
-from .coeffs import Coeff, ParamPoly, as_fraction
+from .coeffs import Coeff, ParamPoly
 from .partitions import partition, partitions_of
 from .stable import StableChar
 from .symfunc import (SymExpr, _to_p, convert, elem, hall_scalar, homog,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
 from math import factorial
 from typing import Union
 

@@ -26,8 +26,8 @@ from .innerpleth import inner_plethysm
 from .stable import (StableChar, angle, character_polynomial, dangle,
                      evaluate_at_n, stable_inner_plethysm, stable_kron,
                      tilde_h, tilde_s, tilde_x)
-from .symfunc import (SymExpr, convert, foulkes_derivative, hall_scalar,
-                      internal, multiply)
+from .symfunc import (SymExpr, foulkes_derivative, hall_scalar, internal,
+                      multiply)
 from .symfunc import elem, homog, mono, power, schur
 
 

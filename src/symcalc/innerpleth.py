@@ -3,6 +3,10 @@
 Adams operations, inner plethysm g^[f], permutation-module
 characteristics and evaluation on the eigenvalue alphabet of a
 permutation matrix.
+
+Adams operations and inner plethysm are pointwise on cycle types: they
+read and write the character values chi_f(nu) = <f, p_nu> of
+``symfunc._class_values``, with one conversion in and one out.
 """
 
 from __future__ import annotations
@@ -11,53 +15,52 @@ from fractions import Fraction
 
 from .coeffs import Coeff
 from .partitions import (multiplicities, partition, partitions_of,
-                         power_cycle_type, z_value)
-from .symfunc import SymExpr, _from_p, _to_p, homog, internal
+                         power_cycle_type)
+from .symfunc import (SymExpr, _class_values, _from_class_values, _to_p,
+                      homog)
 
 
 def adams(f: SymExpr, k: int) -> SymExpr:
     """Adams operation: the character tau -> chi_f(tau^k).
 
-    In the p basis the coefficient on p_nu becomes the coefficient of
-    p_{psi_k(nu)} rescaled by z_{psi_k(nu)}/z_nu.
+    A reindex of the character values: nu -> chi_f(psi_k(nu)).
     """
     if k < 1:
         raise ValueError("k must be positive")
     if not f.is_homogeneous():
         raise ValueError("adams requires a homogeneous input")
-    fp = _to_p(f)
+    chi = _class_values(f)
     out = {}
-    n = f.degree()
-    for nu in partitions_of(n):
+    for nu in partitions_of(f.degree()):
         src = power_cycle_type(nu, k)
-        c = fp.get(src)
-        if c:
-            out[nu] = c * Fraction(z_value(src), z_value(nu))
-    return _from_p(out, f.basis)
+        if src in chi:
+            out[nu] = chi[src]
+    return _from_class_values(out, f.basis)
 
 
 def inner_plethysm(g: SymExpr, f: SymExpr) -> SymExpr:
     """g^[f] for f homogeneous of degree n.
 
-    Expand g in power sums; each p_mu acts as the Kronecker product of
-    the Adams operations of its parts, and the empty partition acts as
-    the unit h_n.
+    Pointwise on cycle types: g^[f](tau) is g with p_k -> chi_f(tau^k),
+    so each p_mu of g contributes prod_{k in mu} chi_f(psi_k(nu)) at the
+    class nu, and the empty partition contributes 1.
     """
     if not f.is_homogeneous():
         raise ValueError("inner plethysm requires homogeneous f")
-    n = f.degree()
+    chi = _class_values(f)
     gp = _to_p(g)
-    unit = homog([n] if n else [])
-    result = SymExpr(f.basis)
-    adams_cache: dict = {}
-    for mu, c in gp.items():
-        piece = unit
-        for k in mu:
-            if k not in adams_cache:
-                adams_cache[k] = adams(f, k)
-            piece = internal(piece, adams_cache[k])
-        result = result + c * piece
-    return result
+    out = {}
+    for nu in partitions_of(f.degree()):
+        psi: dict = {}
+        total: Coeff = Fraction(0)
+        for mu, c in gp.items():
+            for k in mu:
+                if k not in psi:
+                    psi[k] = chi.get(power_cycle_type(nu, k), 0)
+                c = c * psi[k]
+            total = total + c
+        out[nu] = total
+    return _from_class_values(out, f.basis)
 
 
 def eigenvalue_eval(f: SymExpr, mu) -> Coeff:

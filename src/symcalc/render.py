@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import ParamPoly, as_fraction, format_coeff
+from .coeffs import ParamPoly, format_coeff
 from .partitions import canonical_key, multiplicities
 from .stable import CharPolynomial, StableChar, to_angle_basis
 from .symfunc import SymExpr

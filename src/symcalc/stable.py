@@ -23,8 +23,9 @@ from .coeffs import Coeff, as_fraction, coeff_from_json, coeff_to_json
 from .partitions import (canonical_key, horizontal_strip_subshapes,
                          horizontal_strip_supershapes, multiplicities,
                          partition, partitions_of, partitions_up_to, z_value)
-from .symfunc import (SymExpr, convert, foulkes_derivative, hall_scalar,
-                      homog, lr_coefficient, mono, multiply, power, schur)
+from .symfunc import (SymExpr, _add_scaled, _class_values, convert,
+                      foulkes_derivative, hall_scalar, homog, lr_coefficient,
+                      mono, multiply, power, schur)
 
 
 class StableChar:
@@ -138,36 +139,31 @@ def stable_kron(a: StableChar, b: StableChar) -> StableChar:
 def to_angle_basis(sc: StableChar) -> dict:
     """Expand on the filtered family {s_nu(X-1)}: coefficients of <nu>.
 
-    Unitriangular elimination from the highest degree down; exact.
+    f = sum c_nu s_nu(X-1) exactly when f(X+1) = sum c_nu s_nu, so the
+    coefficients are the Schur expansion of the reduced part shifted by +1.
     """
-    red = convert(sc.reduced, "s")
-    out: dict = {}
-    while red.terms:
-        d = red.degree()
-        comp = red.homogeneous_component(d)
-        for nu, c in comp.terms.items():
-            out[nu] = c
-            red = red - convert(shift_alphabet(schur(nu), -1), "s") * c
-    return out
+    return convert(shift_alphabet(sc.reduced, 1), "s").terms
 
 
 def from_angle_basis(coeffs: dict) -> StableChar:
-    total = SymExpr("s")
-    for nu, c in coeffs.items():
-        total = total + convert(shift_alphabet(schur(nu), -1), "s") * c
-    return StableChar(total)
+    return StableChar(shift_alphabet(SymExpr("s", coeffs), -1))
+
+
+def _integral_angle_coeffs(sc: StableChar, what: str) -> dict:
+    """to_angle_basis(sc) as ints; a non-integer coefficient is an error."""
+    out = {}
+    for nu, c in to_angle_basis(sc).items():
+        frac = as_fraction(c)
+        if frac.denominator != 1:
+            raise ArithmeticError(f"non-integer {what} {nu}: {c}")
+        out[nu] = int(frac)
+    return out
 
 
 def reduced_kron(lam, mu) -> dict:
     """Reduced Kronecker coefficients: <lam>*<mu> = sum g^nu <nu>."""
-    raw = to_angle_basis(stable_kron(angle(lam), angle(mu)))
-    out = {}
-    for nu, c in raw.items():
-        frac = as_fraction(c)
-        if frac.denominator != 1:
-            raise ArithmeticError(f"non-integer reduced Kronecker {nu}: {c}")
-        out[nu] = int(frac)
-    return out
+    return _integral_angle_coeffs(stable_kron(angle(lam), angle(mu)),
+                                  "reduced Kronecker")
 
 
 class CharPolynomial:
@@ -212,14 +208,12 @@ class CharPolynomial:
 def character_polynomial(lam) -> CharPolynomial:
     """Xi^lam, with Xi^lam(m_1(mu), m_2(mu), ...) = chi^{(n-|lam|,lam)}_mu.
 
-    Coefficient of prod C(m_i, n_i(nu)) is z_nu times the coefficient of
-    p_nu in s_lam(X-1); these are integers.
+    Coefficient of prod C(m_i, n_i(nu)) is the character value
+    <s_lam(X-1), p_nu> = z_nu [p_nu] s_lam(X-1); these are integers.
     """
-    from .symfunc import _to_p
-    pexp = _to_p(shift_alphabet(schur(lam), -1))
     terms = {}
-    for nu, c in pexp.items():
-        val = as_fraction(c) * z_value(nu)
+    for nu, c in _class_values(shift_alphabet(schur(lam), -1)).items():
+        val = as_fraction(c)
         if val.denominator != 1:
             raise ArithmeticError(f"non-integer character polynomial at {nu}")
         terms[nu] = int(val)
@@ -288,19 +282,18 @@ def tilde_x(lam) -> SymExpr:
 
 
 def tilde_h_expand(f: SymExpr) -> dict:
-    """Coefficients of f on the filtered family {h~_mu}, top degree down."""
-    g = convert(f, "h")
+    """Coefficients of f on the filtered family {h~_mu}.
+
+    h_lam = h~_lam + sum_{0 < |mu| < |lam|} c_lam^mu h~_mu, so the
+    coefficient of h~_mu is sum_lam [h_lam]f c_lam^mu.
+    """
     out: dict = {}
-    while g.terms:
-        d = g.degree()
-        if d == 0:
-            out[()] = g.terms[()]
-            break
-        comp = g.homogeneous_component(d)
-        for mu, c in comp.terms.items():
-            out[mu] = c
-            g = g - convert(tilde_h(mu), "h") * c
-    return out
+    for lam, a in convert(f, "h").terms.items():
+        out[lam] = out.get(lam, 0) + a
+        for d in range(1, sum(lam)):
+            _add_scaled(out, a, ((mu, c) for mu in partitions_of(d)
+                                 if (c := _c_coeff(lam, mu))))
+    return {mu: c for mu, c in out.items() if c}
 
 
 def stable_inner_plethysm(g: SymExpr, sc: StableChar) -> StableChar:
@@ -341,14 +334,12 @@ def transition(kind: str, degree_cap: int) -> dict:
         sigma_tw = outer_plethysm(sigma_series("sigma", 1, degree_cap).expr,
                                   sm1)
         for mu in cols:
-            if mu:
-                smu = outer_plethysm(schur(mu), sm1).expr
-            else:
-                smu = schur([])
-            prod = multiply(sigma_tw.expr, smu).truncate(degree_cap)
+            # <s_lam, F> for every lam is the Schur expansion of F
+            prod = convert((outer_plethysm(schur(mu), sm1) * sigma_tw).expr,
+                           "s")
             for lam in parts:
                 if sum(mu) <= sum(lam):
-                    c = hall_scalar(schur(lam), prod)
+                    c = prod.coefficient(lam)
                     if c:
                         out[(lam, mu)] = c
     elif kind == "b":
@@ -418,11 +409,5 @@ def stable_coproduct_tilde_s(lam) -> dict:
 
 def mixed_product(lam, mu) -> dict:
     """l^nu_{lam mu} with <<lam>> * <mu> = sum l^nu <nu>."""
-    raw = to_angle_basis(stable_kron(dangle(lam), angle(mu)))
-    out = {}
-    for nu, c in raw.items():
-        frac = as_fraction(c)
-        if frac.denominator != 1:
-            raise ArithmeticError(f"non-integer mixed product {nu}: {c}")
-        out[nu] = int(frac)
-    return out
+    return _integral_angle_coeffs(stable_kron(dangle(lam), angle(mu)),
+                                  "mixed product")

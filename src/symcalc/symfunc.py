@@ -10,8 +10,13 @@ multiplicative:
 * p -> h,e by Newton's identity p_k = k h_k - sum_{i<k} h_{k-i} p_i,
   a product over the parts of p_nu, with omega for e,
 * s <-> p by Murnaghan-Nakayama characters,
-* p -> m by counting monomials of p_lambda, and m -> p by Hall duality
-  with h: m_lambda = sum_nu [h_lambda]p_nu p_nu / z_nu.
+* p <-> m by Hall duality with h: [m_mu]p_nu = <p_nu, h_mu> =
+  z_nu [p_nu]h_mu, and m_lambda = sum_nu [h_lambda]p_nu p_nu / z_nu.
+
+A degree-n component is also a class function of S_n, with values
+chi_f(nu) = <f, p_nu> = z_nu [p_nu]f on the cycle types nu (see
+``_class_values``).  Whole-character operations (internal product, Adams
+operations, inner plethysm) are pointwise on these values.
 
 Products in the multiplicative bases p, h and e all go through one
 kernel, ``_p_mult_basis``.  Transition data is memoized in memory; the
@@ -325,7 +330,10 @@ def _sn_in_p(lam: tuple):
 @lru_cache(maxsize=None)
 def _p_in_m_count(lam: tuple, mu: tuple) -> int:
     """Coefficient of m_mu in p_lam: assignments of parts of lam to the
-    columns of mu with prescribed column sums."""
+    columns of mu with prescribed column sums.
+
+    Not on the conversion path (that is ``_p_in_m_degree``); kept as the
+    independent count the duality tables are tested against."""
     ell = len(mu)
 
     @lru_cache(maxsize=None)
@@ -340,13 +348,6 @@ def _p_in_m_count(lam: tuple, mu: tuple) -> int:
         return total
 
     return rec(0, mu)
-
-
-@lru_cache(maxsize=None)
-def _p_in_m(nu: tuple):
-    """m-expansion of p_nu, by counting monomials."""
-    return tuple((mu, r) for mu in partitions_of(sum(nu))
-                 if (r := _p_in_m_count(nu, mu)))
 
 
 @lru_cache(maxsize=None)
@@ -383,6 +384,17 @@ def _m_in_p(lam: tuple):
     return _m_in_p_degree(sum(lam))[lam]
 
 
+@lru_cache(maxsize=None)
+def _p_in_m_degree(n: int):
+    """All p_nu of degree n in m, by Hall duality with h:
+    [m_mu]p_nu = <p_nu, h_mu> = z_nu [p_nu]h_mu, an integer."""
+    rows: dict = {nu: [] for nu in partitions_of(n)}
+    for mu in partitions_of(n):
+        for nu, c in _p_mult_basis(_hn_in_p(part) for part in mu).items():
+            rows[nu].append((mu, int(c * z_value(nu))))
+    return {nu: tuple(row) for nu, row in rows.items()}
+
+
 # -- basis conversion ---------------------------------------------------
 
 
@@ -417,7 +429,7 @@ def _from_p(pterms: dict, target: str) -> SymExpr:
         return SymExpr(target, out)
     if target == "m":
         for nu, c in pterms.items():
-            _add_scaled(out, c, _p_in_m(nu))
+            _add_scaled(out, c, _p_in_m_degree(sum(nu))[nu])
         return SymExpr("m", out)
     by_deg: dict = {}
     for nu, c in pterms.items():
@@ -437,6 +449,18 @@ def _from_p(pterms: dict, target: str) -> SymExpr:
 
 def convert(f: SymExpr, target: str) -> SymExpr:
     return f.in_basis(target)
+
+
+def _class_values(f: SymExpr) -> dict:
+    """Character values chi_f(nu) = <f, p_nu> = z_nu [p_nu]f, keyed by
+    cycle type nu; integers for integral f."""
+    return {nu: c * z_value(nu) for nu, c in _to_p(f).items()}
+
+
+def _from_class_values(chi: dict, target: str) -> SymExpr:
+    """The symmetric function with character values chi, in ``target``."""
+    return _from_p({nu: c * Fraction(1, z_value(nu))
+                    for nu, c in chi.items() if c}, target)
 
 
 # -- products and pairings ----------------------------------------------
@@ -462,14 +486,10 @@ def hall_scalar(f: SymExpr, g: SymExpr) -> Coeff:
 
 
 def internal(f: SymExpr, g: SymExpr) -> SymExpr:
-    """Kronecker product: diagonal on power sums, degreewise."""
-    a, b = _to_p(f), _to_p(g)
-    out = {}
-    for nu, c in a.items():
-        d = b.get(nu)
-        if d:
-            out[nu] = c * d * z_value(nu)
-    return _from_p(out, f.basis)
+    """Kronecker product: the pointwise product of characters."""
+    a, b = _class_values(f), _class_values(g)
+    return _from_class_values({nu: c * b[nu] for nu, c in a.items()
+                               if nu in b}, f.basis)
 
 
 def foulkes_derivative(f: SymExpr, g: SymExpr) -> SymExpr:
@@ -517,14 +537,10 @@ def lr_coefficient(mu, nu, lam) -> int:
     mu, nu, lam = partition(mu), partition(nu), partition(lam)
     if sum(mu) + sum(nu) != sum(lam):
         return 0
-    prod = _to_p(multiply(schur(mu), schur(nu)))
-    total = Fraction(0)
-    for rho, c in prod.items():
-        chi = char_value(lam, rho)
-        if chi:
-            total += c * chi
-    assert total.denominator == 1
-    return int(total)
+    c = multiply(schur(mu), schur(nu)).coefficient(lam)
+    if c.denominator != 1:
+        raise ArithmeticError(f"non-integer LR coefficient {lam}: {c}")
+    return int(c)
 
 
 def skew_schur(lam, mu) -> SymExpr:

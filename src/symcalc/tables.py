@@ -20,8 +20,6 @@ the remaining two.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .partitions import canonical_key, partitions_up_to
 from .stable import tilde_h, transition
 

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+from symcalc.coeffs import ParamPoly
 from symcalc.innerpleth import (adams, eigenvalue_eval, graded_poly_char,
                                 inner_plethysm, perm_char)
-from symcalc.partitions import multiplicities, partitions_of
-from symcalc.symfunc import (elem, hall_scalar, homog, internal, mn_character,
-                             multiply, power, schur)
+from symcalc.partitions import (multiplicities, partitions_of,
+                                partitions_up_to, power_cycle_type, z_value)
+from symcalc.symfunc import (SymExpr, elem, hall_scalar, homog, internal,
+                             mn_character, multiply, power, schur)
 
 
 def test_adams_identity_and_unit():
@@ -107,3 +109,45 @@ def test_graded_poly_char():
     assert c0.subs({"q": Fraction(0)}) == 1
     total = f.in_basis("h")
     assert total.coefficient((1, 1)).subs({"q": Fraction(1)}) >= 1
+
+
+def _adams_in_p(fp, n, k):
+    # p-basis Adams operation: the coefficient of p_{psi_k(nu)} moves to
+    # p_nu, rescaled by z_{psi_k(nu)} / z_nu
+    out = {}
+    for nu in partitions_of(n):
+        src = power_cycle_type(nu, k)
+        if src in fp:
+            out[nu] = fp[src] * Fraction(z_value(src), z_value(nu))
+    return out
+
+
+def _inner_plethysm_by_adams(g, f):
+    # reference: each p_mu^[f] is the Kronecker product, in the p basis, of
+    # the Adams operations of the parts of mu; the empty mu is the unit h_n
+    n = f.degree()
+    fp = f.in_basis("p").terms
+    unit = homog([n] if n else []).in_basis("p").terms
+    result = SymExpr(f.basis)
+    adams_cache = {}
+    for mu, c in g.in_basis("p").terms.items():
+        piece = unit
+        for k in mu:
+            if k not in adams_cache:
+                adams_cache[k] = _adams_in_p(fp, n, k)
+            factor = adams_cache[k]
+            piece = {nu: a * factor[nu] * z_value(nu)
+                     for nu, a in piece.items() if nu in factor}
+        result = result + SymExpr("p", piece).in_basis(f.basis) * c
+    return result
+
+
+def test_inner_plethysm_matches_adams_kronecker_chain():
+    gs = [homog([2]), elem([3]), power([2, 1]), schur([2, 1]),
+          homog([1]) + 3, SymExpr("s", {(): Fraction(2)}),
+          homog([2]) * ParamPoly.var("t") + power([3])]
+    for lam in partitions_up_to(6):
+        for f in (schur(lam), homog(lam)):
+            for g in gs:
+                assert inner_plethysm(g, f) == \
+                    _inner_plethysm_by_adams(g, f), (g, f)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from symcalc.alphabets import shift_alphabet
+from symcalc.apps import stable_weight_orbits
 from symcalc.innerpleth import inner_plethysm, perm_char
 from symcalc.partitions import partitions_of, partitions_up_to
 from symcalc.stable import (CharPolynomial, StableChar, angle,
@@ -276,3 +278,45 @@ def test_evaluate_at_n_pieri_matches_products():
 def test_evaluate_at_n_degree_20():
     got = evaluate_at_n(angle([2, 1]), 20)
     assert got.basis == "s" and got.terms == {(17, 2, 1): 1}
+
+
+def _to_angle_basis_by_elimination(sc):
+    # reference: unitriangular elimination from the highest degree down
+    red = sc.reduced.in_basis("s")
+    out = {}
+    while red.terms:
+        comp = red.homogeneous_component(red.degree())
+        for nu, c in comp.terms.items():
+            out[nu] = c
+            red = red - shift_alphabet(schur(nu), -1).in_basis("s") * c
+    return out
+
+
+def _tilde_h_expand_by_elimination(f):
+    # reference: subtract h~_mu for the top-degree terms, degree by degree
+    g = f.in_basis("h")
+    out = {}
+    while g.terms:
+        d = g.degree()
+        if d == 0:
+            out[()] = g.terms[()]
+            break
+        for mu, c in g.homogeneous_component(d).terms.items():
+            out[mu] = c
+            g = g - tilde_h(mu).in_basis("h") * c
+    return out
+
+
+def test_angle_and_tilde_h_expansions_match_elimination():
+    cases = [mk(lam) for lam in partitions_up_to(4) for mk in (angle, dangle)]
+    cases += [stable_kron(angle(lam), angle(mu))
+              for lam, mu in [((1,), (1,)), ((2,), (1, 1)), ((2, 1), (1,))]]
+    cases += [stable_kron(dangle([2]), angle([1, 1])),
+              stable_weight_orbits(homog([2, 1]))]
+    for sc in cases:
+        assert to_angle_basis(sc) == _to_angle_basis_by_elimination(sc), sc
+        assert from_angle_basis(to_angle_basis(sc)) == sc
+        assert tilde_h_expand(sc.reduced) == \
+            _tilde_h_expand_by_elimination(sc.reduced), sc
+    f = homog([2, 1]) + schur([1], 3) - 2
+    assert tilde_h_expand(f) == _tilde_h_expand_by_elimination(f)

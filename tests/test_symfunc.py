@@ -229,3 +229,14 @@ def test_power_sum_h_roundtrip():
         assert in_h.basis == "h"
         back = in_h.in_basis("p")
         assert back.basis == "p" and back.terms == {(k,): 1}
+
+
+def test_p_to_m_rows_match_monomial_counts():
+    # p -> m by Hall duality with h agrees with counting monomials of p_nu
+    from symcalc.symfunc import _p_in_m_count
+    for n in range(11):
+        parts = partitions_of(n)
+        for nu in parts:
+            row = power(nu).in_basis("m").terms
+            for mu in parts:
+                assert row.get(mu, 0) == _p_in_m_count(nu, mu), (nu, mu)
