@@ -135,7 +135,10 @@ class Parser:
                 k2, v2, p2 = self.next()
                 if k2 != "int":
                     raise ParseError("expected an integer denominator", p2)
-                return ("num", Fraction(num, int(v2)))
+                den = int(v2)
+                if not den:
+                    raise ParseError("zero denominator", p2)
+                return ("num", Fraction(num, den))
             return ("num", Fraction(num))
         if val == "(":
             self.next()

@@ -8,6 +8,12 @@ collects the irreducible characters chi^{(n-|lam|, lam)} for all n, and
 Stable (reduced) Kronecker products, character polynomials, the tilde
 bases s~/h~/x~ with their transition matrices, coproducts and mixed
 products all live here.
+
+The tilde layer is one linear map T: h_mu -> h~_mu and its inverse.
+Let H = sigma_1 - 1 and M its plethystic inverse (H o M = p_1).  Since
+h_lam = sum_mu c_lam^mu h~_mu with c_lam^mu = <h_lam, m_mu[H]>, T^-1 is
+the adjoint of g -> g[H], and T the adjoint of g -> g[M]:
+    T(f) = sum_mu <f, m_mu[M]> h_mu,   T^-1(f) = sum_mu <f, m_mu[H]> h_mu.
 """
 
 from __future__ import annotations
@@ -16,16 +22,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .alphabets import (outer_plethysm, shift_alphabet, sigma_minus_one,
-                        sigma_series)
+from .alphabets import (invert_sigma, outer_plethysm, shift_alphabet,
+                        sigma_minus_one)
 from .cache import cached_table
-from .coeffs import Coeff, as_fraction, coeff_from_json, coeff_to_json
-from .partitions import (canonical_key, horizontal_strip_subshapes,
-                         horizontal_strip_supershapes, multiplicities,
-                         partition, partitions_of, partitions_up_to, z_value)
-from .symfunc import (SymExpr, _add_scaled, _class_values, convert,
-                      foulkes_derivative, hall_scalar, homog, lr_coefficient,
-                      mono, multiply, power, schur)
+from .coeffs import as_fraction
+from .partitions import (canonical_key, horizontal_strip_supershapes,
+                         multiplicities, partition, partitions_of,
+                         partitions_up_to, z_value)
+from .symfunc import (SymExpr, _add_scaled, _class_values, _pkey, _punkey,
+                      convert, foulkes_derivative, homog, mono, multiply,
+                      power, schur)
 
 
 class StableChar:
@@ -222,133 +228,105 @@ def character_polynomial(lam) -> CharPolynomial:
 
 # ---------------------------------------------------------------------------
 # the tilde bases
+#
+# Every tilde function is one of the two adjoint maps
+#     T(f) = sum_mu <f, m_mu[M]> h_mu,   T^-1(f) = sum_mu <f, m_mu[H]> h_mu;
+# c_lam^mu = <h_lam, m_mu[H]> is the matrix of T^-1 on the h basis.
 
-def _c_pairing(lam: tuple, mu: tuple) -> Coeff:
-    """c_lam^mu = <h_lam, m_mu[sigma_1 - 1]>."""
-    pleth = outer_plethysm(mono(mu), sigma_minus_one(sum(lam)))
-    return hall_scalar(homog(lam), pleth.expr)
-
-
-@lru_cache(maxsize=None)
-def _c_coeff(lam: tuple, mu: tuple) -> Fraction:
-    def compute():
-        return {"value": coeff_to_json(_c_pairing(lam, mu))}
-
-    key = "-".join(map(str, lam)) + "_" + "-".join(map(str, mu))
-    data = cached_table("cmatrix", key, compute, lambda d: d, lambda d: d)
-    return as_fraction(coeff_from_json(data["value"]))
+_SERIES = {"H": sigma_minus_one, "M": invert_sigma}
 
 
 @lru_cache(maxsize=None)
-def tilde_h(mu) -> SymExpr:
-    """h~_mu: the inner-plethysm preimage of <<mu>>.
+def _pleth_columns(series: str, d: int) -> dict:
+    """Degree-d parts of the columns m_mu[S], |mu| <= d, in the m basis.
 
-    Defined by the unitriangular system h_lam = sum_mu c_lam^mu h~_mu,
-    so that h~_mu[h_{n-1,1}]^ recovers the degree-n term of sigma_1 h_mu.
+    S is H or M.  Stored by row, {lam: {mu: [m_lam] m_mu[S]}} for
+    lam |- d, so row lam holds the pairings <h_lam, m_mu[S]>.
     """
-    mu = partition(mu)
-    result = homog(mu) if mu else SymExpr("h", {(): Fraction(1)})
-    for d in range(1, sum(mu)):
-        for nu in partitions_of(d):
-            c = _c_coeff(mu, nu)
-            if c:
-                result = result - tilde_h(nu) * c
-    return result
+    def compute():
+        s = _SERIES[series](max(d, 1))   # invert_sigma needs cap >= 1
+        rows: dict = {lam: {} for lam in partitions_of(d)}
+        for mu in partitions_up_to(d):
+            col = outer_plethysm(mono(mu), s).expr.homogeneous_component(d)
+            for lam, c in col.terms.items():
+                rows[lam][mu] = c
+        return rows
+
+    def encode(rows):
+        return {_pkey(lam): {_pkey(mu): str(c) for mu, c in row.items()}
+                for lam, row in rows.items()}
+
+    def decode(payload):
+        return {_punkey(lam): {_punkey(mu): Fraction(c)
+                               for mu, c in row.items()}
+                for lam, row in payload.items()}
+
+    return cached_table(f"pleth{series}", str(d), compute, encode, decode)
 
 
-def _apply_tilde_h(f: SymExpr) -> SymExpr:
-    """The linear substitution h_mu -> h~_mu."""
-    fh = convert(f, "h")
-    total = SymExpr("h")
-    for mu, c in fh.terms.items():
-        total = total + tilde_h(mu) * c
-    return total
+def _adjoint(f: SymExpr, series: str) -> SymExpr:
+    """sum_mu <f, m_mu[S]> h_mu: T(f) for S = M, T^-1(f) for S = H."""
+    out: dict = {}
+    for lam, a in convert(f, "h").terms.items():
+        _add_scaled(out, a, _pleth_columns(series, sum(lam))[lam].items())
+    return SymExpr("h", out)
+
+
+def tilde_h(mu) -> SymExpr:
+    """h~_mu = T(h_mu): the inner-plethysm preimage of <<mu>>.
+
+    Equivalently h_lam = sum_mu c_lam^mu h~_mu, so that
+    h~_mu[h_{n-1,1}]^ recovers the degree-n term of sigma_1 h_mu.
+    """
+    return _adjoint(homog(mu), "M")
 
 
 @lru_cache(maxsize=None)
 def tilde_s(lam) -> SymExpr:
-    """s~_lam: the inner-plethysm preimage of <lam>.
-
-    By linearity this is the h-expansion of s_lam(X-1) with each h_mu
-    replaced by h~_mu.
-    """
-    return convert(_apply_tilde_h(shift_alphabet(schur(lam), -1)), "s")
+    """s~_lam = T(s_lam(X-1)): the inner-plethysm preimage of <lam>."""
+    return convert(_adjoint(shift_alphabet(schur(lam), -1), "M"), "s")
 
 
 @lru_cache(maxsize=None)
 def tilde_x(lam) -> SymExpr:
-    """x~_lam: the preimage of <<s_lam>> = sigma_1 s_lam."""
-    return convert(_apply_tilde_h(schur(lam)), "s")
+    """x~_lam = T(s_lam): the preimage of <<s_lam>> = sigma_1 s_lam."""
+    return convert(_adjoint(schur(lam), "M"), "s")
 
 
 def tilde_h_expand(f: SymExpr) -> dict:
-    """Coefficients of f on the filtered family {h~_mu}.
-
-    h_lam = h~_lam + sum_{0 < |mu| < |lam|} c_lam^mu h~_mu, so the
-    coefficient of h~_mu is sum_lam [h_lam]f c_lam^mu.
-    """
-    out: dict = {}
-    for lam, a in convert(f, "h").terms.items():
-        out[lam] = out.get(lam, 0) + a
-        for d in range(1, sum(lam)):
-            _add_scaled(out, a, ((mu, c) for mu in partitions_of(d)
-                                 if (c := _c_coeff(lam, mu))))
-    return {mu: c for mu, c in out.items() if c}
+    """Coefficients of f on the filtered family {h~_mu}: T^-1(f)."""
+    return _adjoint(f, "H").terms
 
 
 def stable_inner_plethysm(g: SymExpr, sc: StableChar) -> StableChar:
     """g^[sc]: apply the lambda-ring operation g to a whole stable family.
 
-    Route: write sc on the tilde basis (F = sum c_nu s~_nu satisfies
-    F^[h_{n-1,1}] = evaluate_at_n(sc, n)), compose G = g o F by outer
-    plethysm, and read G back through the h~ correspondence.
+    F = T(sc.reduced) satisfies F^[h_{n-1,1}] = evaluate_at_n(sc, n);
+    compose G = g o F by outer plethysm and read G back through T^-1.
     """
-    F = SymExpr("s")
-    for nu, c in to_angle_basis(sc).items():
-        F = F + tilde_s(nu) * c
-    G = outer_plethysm(g, F)
-    u = tilde_h_expand(G)
-    return StableChar(SymExpr("h", u))
+    return StableChar(_adjoint(outer_plethysm(g, _adjoint(sc.reduced, "M")),
+                               "H"))
 
 
 def transition(kind: str, degree_cap: int) -> dict:
     """Transition matrices between the classical and tilde bases.
 
     Entries are keyed (lam, mu) for |lam|, |mu| <= degree_cap:
-      c: h_lam   = sum c_lam^mu h~_mu             (<h_lam, m_mu[sigma_1-1]>)
-      a: s_lam   = sum a_lam^mu s~_mu   (<s_lam, sigma_1[sigma_1-1] s_mu[sigma_1-1]>)
+      c: h_lam   = sum c_lam^mu h~_mu   (<h_lam, m_mu[sigma_1-1]>)
+      a: s_lam   = sum a_lam^mu s~_mu   (row lam: T^-1(s_lam) on {<mu>})
       b: s~_lam  = sum b_lam^mu s_mu
     """
     parts = [p for p in partitions_up_to(degree_cap) if p]
-    cols = partitions_up_to(degree_cap)
-    out: dict = {}
     if kind == "c":
-        for lam in parts:
-            for mu in parts:
-                if sum(mu) <= sum(lam):
-                    c = _c_coeff(lam, mu)
-                    if c:
-                        out[(lam, mu)] = c
+        rows = ((lam, _pleth_columns("H", sum(lam))[lam]) for lam in parts)
     elif kind == "a":
-        sm1 = sigma_minus_one(degree_cap)
-        sigma_tw = outer_plethysm(sigma_series("sigma", 1, degree_cap).expr,
-                                  sm1)
-        for mu in cols:
-            # <s_lam, F> for every lam is the Schur expansion of F
-            prod = convert((outer_plethysm(schur(mu), sm1) * sigma_tw).expr,
-                           "s")
-            for lam in parts:
-                if sum(mu) <= sum(lam):
-                    c = prod.coefficient(lam)
-                    if c:
-                        out[(lam, mu)] = c
+        rows = ((lam, to_angle_basis(StableChar(_adjoint(schur(lam), "H"))))
+                for lam in parts)
     elif kind == "b":
-        for lam in parts:
-            for mu, c in tilde_s(lam).terms.items():
-                out[(lam, mu)] = c
+        rows = ((lam, tilde_s(lam).terms) for lam in parts)
     else:
         raise ValueError(f"unknown transition kind {kind!r}")
-    return out
+    return {(lam, mu): c for lam, row in rows for mu, c in row.items() if c}
 
 
 def vector_partition_count(lam, mu) -> int:
@@ -392,18 +370,23 @@ def vector_partition_count(lam, mu) -> int:
 
 
 def stable_coproduct_tilde_s(lam) -> dict:
-    """Structure constants f^{mu nu}_lam of the coproduct of s~_lam:
-    sum over alpha with lam/alpha a horizontal strip of c^alpha_{mu nu}."""
-    lam = partition(lam)
+    """Structure constants f^{mu nu}_lam of the coproduct of s~_lam.
+
+    f^{mu nu}_lam = sum of c^alpha_{mu nu} over alpha with lam/alpha a
+    horizontal strip = <s_mu s_nu, s_lam[X+1]>, by the Pieri identity
+    s_lam[X+1] = sum_alpha s_alpha.
+    """
+    strips = convert(shift_alphabet(schur(partition(lam)), 1), "s").terms
     out: dict = {}
-    for alpha in horizontal_strip_subshapes(lam):
-        n = sum(alpha)
+    for n in sorted({sum(alpha) for alpha in strips}):
         for j in range(n + 1):
             for mu in partitions_of(j):
                 for nu in partitions_of(n - j):
-                    c = lr_coefficient(mu, nu, alpha)
+                    prod = multiply(schur(mu), schur(nu)).terms
+                    c = sum(prod[alpha] * strips[alpha]
+                            for alpha in prod if alpha in strips)
                     if c:
-                        out[(mu, nu)] = out.get((mu, nu), 0) + c
+                        out[(mu, nu)] = int(c)
     return out
 
 

@@ -21,6 +21,7 @@ the remaining two.
 from __future__ import annotations
 
 from .partitions import canonical_key, partitions_up_to
+from .render import term_sort_key
 from .stable import tilde_h, transition
 
 SECTIONS = ("inner-plethysm", "perm-chars", "tilde-s-dual",
@@ -32,15 +33,10 @@ def _pname(lam) -> str:
 
 
 def _fmt_terms(pairs, symbol: str, order: str) -> str:
-    """pairs: iterable of (partition, coefficient)."""
-    if order == "desc":
-        key = lambda it: (-sum(it[0]), tuple(-x for x in it[0]))
-    elif order == "asc-lex":
-        key = lambda it: (sum(it[0]), it[0])
-    else:  # plain lexicographic
-        key = lambda it: it[0]
+    """pairs: iterable of (partition, coefficient); order as term_sort_key."""
+    key = term_sort_key(order)
     pieces = []
-    for lam, c in sorted(pairs, key=key):
+    for lam, c in sorted(pairs, key=lambda it: key(it[0])):
         if not c:
             continue
         mag = abs(c)
@@ -82,7 +78,7 @@ def render_table(section: str, max_degree: int) -> str:
         for lam in _rows(max_degree - 1):
             terms = [(mu, v) for (mu, nu), v in a.items() if nu == lam]
             lines.append(f"ts{_pname(lam)}* = "
-                         f"{_fmt_terms(terms, 's', 'asc-lex')}")
+                         f"{_fmt_terms(terms, 's', 'asc')}")
     elif section == "schur-on-tilde-s":
         a = transition("a", max_degree)
         for lam in _rows(max_degree):
@@ -94,7 +90,7 @@ def render_table(section: str, max_degree: int) -> str:
         for lam in _rows(max_degree - 1):
             terms = [(mu, v) for (mu, nu), v in c.items() if nu == lam]
             lines.append(f"th{_pname(lam)}* = "
-                         f"{_fmt_terms(terms, 'm', 'asc-lex')}")
+                         f"{_fmt_terms(terms, 'm', 'asc')}")
     else:  # h-on-tilde-h
         c = transition("c", max_degree)
         for lam in _rows(max_degree):

@@ -242,3 +242,46 @@ def test_stale_m2p_table_is_not_read(tmp_path):
                        "h-on-tilde-h-4.txt")
     with open(ref) as fh:
         assert proc.stdout == fh.read()
+
+
+def test_eval_zero_denominator_is_a_parse_error():
+    code, out, err = run_cli(["eval", "1/0"])
+    assert code == 2 and out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+    proc = subprocess.run([sys.executable, "-m", "symcalc.cli", "eval",
+                           "s[2] + 3/0 * s[1]"], capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert "zero denominator" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_stale_cmatrix_entries_are_not_read(tmp_path):
+    # well-formed (right version and checksum) but wrong per-entry
+    # c-matrix values, in the file layout of an older cache
+    import hashlib
+    import os
+    from symcalc.cache import FORMAT_VERSION
+    from symcalc.coeffs import coeff_to_json
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    planted = []
+    for lam, mu in [((2, 1), (1,)), ((2, 2), (2,)), ((3, 1), (1, 1))]:
+        payload = {"value": coeff_to_json(99)}
+        text = json.dumps(payload, sort_keys=True)
+        doc = {"version": FORMAT_VERSION, "payload": payload,
+               "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+        name = ("cmatrix-" + "-".join(map(str, lam)) + "_"
+                + "-".join(map(str, mu)) + ".json")
+        (cache / name).write_text(json.dumps(doc, sort_keys=True))
+        planted.append(name)
+    argv = [sys.executable, "-m", "symcalc.cli", "--cache", str(cache),
+            "tables", "--section", "inner-plethysm", "--max-degree", "4"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0
+    ref = os.path.join(os.path.dirname(__file__), "data", "tables",
+                       "inner-plethysm-4.txt")
+    with open(ref) as fh:
+        assert proc.stdout == fh.read()
+    assert sorted(f for f in os.listdir(cache)
+                  if f.startswith("cmatrix-")) == sorted(planted)

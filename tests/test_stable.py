@@ -1,11 +1,14 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from symcalc.alphabets import shift_alphabet
+from symcalc.alphabets import (outer_plethysm, shift_alphabet,
+                               sigma_minus_one, sigma_series)
 from symcalc.apps import stable_weight_orbits
 from symcalc.innerpleth import inner_plethysm, perm_char
-from symcalc.partitions import partitions_of, partitions_up_to
+from symcalc.partitions import (horizontal_strip_subshapes, partitions_of,
+                                partitions_up_to)
 from symcalc.stable import (CharPolynomial, StableChar, angle,
                             character_polynomial, dangle, evaluate_at_n,
                             from_angle_basis, mixed_product, reduced_kron,
@@ -13,8 +16,10 @@ from symcalc.stable import (CharPolynomial, StableChar, angle,
                             stable_kron, straighten_schur, tilde_h,
                             tilde_h_expand, tilde_s, tilde_x, to_angle_basis,
                             transition, vector_partition_count)
+from symcalc.stable import _pleth_columns
 from symcalc.symfunc import (SymExpr, hall_scalar, homog, internal,
-                             mn_character, mono, multiply, schur)
+                             lr_coefficient, mn_character, mono, multiply,
+                             power, schur)
 
 
 def test_straighten():
@@ -320,3 +325,145 @@ def test_angle_and_tilde_h_expansions_match_elimination():
             _tilde_h_expand_by_elimination(sc.reduced), sc
     f = homog([2, 1]) + schur([1], 3) - 2
     assert tilde_h_expand(f) == _tilde_h_expand_by_elimination(f)
+
+
+# References: the tilde layer as it was solved by elimination, one outer
+# plethysm per c-matrix entry and a recursion for h~.
+
+def _c_pairing(lam, mu):
+    pleth = outer_plethysm(mono(mu), sigma_minus_one(sum(lam)))
+    return hall_scalar(homog(lam), pleth.expr)
+
+
+@lru_cache(maxsize=None)
+def _c_ref(lam, mu):
+    return _c_pairing(lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _tilde_h_ref(mu):
+    result = homog(mu) if mu else SymExpr("h", {(): Fraction(1)})
+    for d in range(1, sum(mu)):
+        for nu in partitions_of(d):
+            c = _c_ref(mu, nu)
+            if c:
+                result = result - _tilde_h_ref(nu) * c
+    return result
+
+
+def _apply_tilde_h(f):
+    total = SymExpr("h")
+    for mu, c in f.in_basis("h").terms.items():
+        total = total + _tilde_h_ref(mu) * c
+    return total
+
+
+@lru_cache(maxsize=None)
+def _tilde_s_ref(lam):
+    return _apply_tilde_h(shift_alphabet(schur(lam), -1)).in_basis("s")
+
+
+def _tilde_h_expand_ref(f):
+    out = {}
+    for lam, a in f.in_basis("h").terms.items():
+        out[lam] = out.get(lam, 0) + a
+        for d in range(1, sum(lam)):
+            for mu in partitions_of(d):
+                c = _c_ref(lam, mu)
+                if c:
+                    out[mu] = out.get(mu, 0) + a * c
+    return {mu: c for mu, c in out.items() if c}
+
+
+def _stable_inner_plethysm_ref(g, sc):
+    F = SymExpr("s")
+    for nu, c in to_angle_basis(sc).items():
+        F = F + _tilde_s_ref(nu) * c
+    G = outer_plethysm(g, F)
+    return StableChar(SymExpr("h", _tilde_h_expand_ref(G)))
+
+
+def _transition_ref(kind, cap):
+    parts = [p for p in partitions_up_to(cap) if p]
+    out = {}
+    if kind == "c":
+        for lam in parts:
+            for mu in parts:
+                if sum(mu) <= sum(lam) and _c_ref(lam, mu):
+                    out[(lam, mu)] = _c_ref(lam, mu)
+    elif kind == "a":
+        # a_lam^mu = <s_lam, sigma_1[sigma_1-1] s_mu[sigma_1-1]>
+        sm1 = sigma_minus_one(cap)
+        sigma_tw = outer_plethysm(sigma_series("sigma", 1, cap).expr, sm1)
+        for mu in partitions_up_to(cap):
+            prod = (outer_plethysm(schur(mu), sm1) * sigma_tw).expr
+            for lam in parts:
+                if sum(mu) <= sum(lam):
+                    c = hall_scalar(schur(lam), prod)
+                    if c:
+                        out[(lam, mu)] = c
+    else:
+        for lam in parts:
+            for mu, c in _tilde_s_ref(lam).terms.items():
+                out[(lam, mu)] = c
+    return out
+
+
+def _same(got, want):
+    assert got.basis == want.basis and got.terms == want.terms, (got, want)
+
+
+def test_tilde_bases_match_elimination_degree_6():
+    for lam in partitions_up_to(6):
+        _same(tilde_h(lam), _tilde_h_ref(lam))
+        _same(tilde_s(lam), _tilde_s_ref(lam))
+        _same(tilde_x(lam), _apply_tilde_h(schur(lam)).in_basis("s"))
+        for f in (homog(lam), schur(lam), shift_alphabet(schur(lam), -1)):
+            assert tilde_h_expand(f) == _tilde_h_expand_ref(f), (lam, f)
+    f = homog([3, 1]) + schur([2], 3) - 2
+    assert tilde_h_expand(f) == _tilde_h_expand_ref(f)
+    for kind in ("a", "b", "c"):
+        assert transition(kind, 6) == _transition_ref(kind, 6), kind
+
+
+def test_stable_inner_plethysm_matches_elimination():
+    cases = [(g, mk(lam)) for g in (homog([2]), schur([1, 1]), power([2]))
+             for lam in partitions_up_to(3) for mk in (angle, dangle)]
+    cases += [(g, mk(lam)) for g in (homog([3]), schur([2, 1]))
+              for lam in partitions_up_to(2) for mk in (angle, dangle)]
+    cases += [(homog([2]), angle([1]) + dangle([2]) * 3),
+              (homog([2]), stable_weight_orbits(homog([1])))]
+    for g, sc in cases:
+        got = stable_inner_plethysm(g, sc)
+        want = _stable_inner_plethysm_ref(g, sc)
+        _same(got.reduced, want.reduced)
+
+
+def test_h_and_m_tables_are_inverse_degree_8():
+    # sum_nu <h_lam, m_nu[sigma_1-1]> <h_nu, m_mu[M]> = delta, M the
+    # plethystic inverse of sigma_1 - 1
+    for lam in partitions_up_to(8):
+        total = {}
+        for nu, c in _pleth_columns("H", sum(lam))[lam].items():
+            for mu, d in _pleth_columns("M", sum(nu))[nu].items():
+                total[mu] = total.get(mu, 0) + c * d
+        assert {mu: c for mu, c in total.items() if c} == {lam: 1}, lam
+
+
+def _coproduct_by_triples(lam):
+    # reference: one Littlewood-Richardson coefficient per triple
+    out = {}
+    for alpha in horizontal_strip_subshapes(lam):
+        n = sum(alpha)
+        for j in range(n + 1):
+            for mu in partitions_of(j):
+                for nu in partitions_of(n - j):
+                    c = lr_coefficient(mu, nu, alpha)
+                    if c:
+                        out[(mu, nu)] = out.get((mu, nu), 0) + c
+    return out
+
+
+def test_stable_coproduct_matches_triple_loop():
+    for lam in partitions_up_to(5):
+        assert stable_coproduct_tilde_s(lam) == _coproduct_by_triples(lam), lam
