@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .coeffs import ParamPoly, binomial_series_coeff, coeff_frobenius
-from .symfunc import (SymExpr, _add_scaled, _from_p, _p_mult_basis,
-                      _to_p, power)
+from .symfunc import (SymExpr, _add_scaled, _class_sums, _from_class_sums,
+                      _from_p, _p_mult_basis, _p_weights, _to_p, power)
 
 
 class TruncatedSeries:
@@ -62,34 +63,46 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.expr!r}, cap={self.cap})"
 
 
-def _pk_on_terms(pterms: dict, k: int, cap=None) -> dict:
-    """Apply p_k to a p-basis expansion."""
-    out = {}
-    for nu, c in pterms.items():
-        if cap is not None and sum(nu) * k > cap:
-            continue
-        out[tuple(x * k for x in nu)] = coeff_frobenius(c, k)
-    return out
-
-
 def outer_plethysm(f: SymExpr, g):
     """f o g by power-sum substitution.
 
     ``g`` may be a SymExpr or a TruncatedSeries; the result carries the
     series cap in the latter case.  Rational constant terms of g pass
     through p_k unchanged (lambda-ring convention for sigma_1 etc.).
+
+    Expansions are class sums N(nu) = |nu|! [p_nu]F, ints for integral F:
+    products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
+    ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, p_alpha[g] is
+    built once per tail of alpha, and each output term is divided once.
     """
     if isinstance(g, TruncatedSeries):
-        gp, cap = _to_p(g.expr), g.cap
+        g, cap = g.expr, g.cap
     else:
-        gp, cap = _to_p(g), None
+        cap = None
+    gsums = _class_sums(g)
+    powers: dict = {}
+    tails: dict = {(): {(): 1}}
+
+    def tail(alpha):
+        """p_alpha[g] as class sums, memoized on the tails of alpha."""
+        got = tails.get(alpha)
+        if got is None:
+            k = alpha[0]
+            if k not in powers:   # p_k: N(nu) -> (k|nu|)!/|nu|! N(nu) at k nu
+                powers[k] = {tuple(x * k for x in nu): coeff_frobenius(c, k)
+                             * (factorial(k * sum(nu)) // factorial(sum(nu)))
+                             for nu, c in gsums.items()
+                             if cap is None or k * sum(nu) <= cap}
+            got = tails[alpha] = _p_mult_basis(
+                (powers[k].items(), tail(alpha[1:]).items()), cap,
+                binomial=True)
+        return got
+
+    big, weights = _p_weights(f)
     out: dict = {}
-    for alpha, c in _to_p(f).items():
-        piece = _p_mult_basis((_pk_on_terms(gp, k, cap).items()
-                               for k in alpha), cap)
-        _add_scaled(out, c, piece.items())
-    result = _from_p({k: v for k, v in out.items() if v},
-                     f.basis)
+    for alpha, w in weights:
+        _add_scaled(out, w, tail(alpha).items())
+    result = _from_class_sums(out, f.basis, big)
     if cap is not None:
         return TruncatedSeries(result, cap)
     return result

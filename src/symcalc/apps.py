@@ -16,10 +16,12 @@ from .symfunc import (SymExpr, _to_p, convert, elem, hall_scalar, homog,
 
 
 def littlewood_pair(f: SymExpr, g: SymExpr, cap: int) -> Coeff:
-    """<f, g[sigma_1]>, which equals <f^[sigma_1 h_1], g> by duality."""
+    """<f, g[sigma_1]>, which equals <f^[sigma_1 h_1], g> by duality.
+    g[sigma_1] is built and paired in the p basis."""
     if cap < f.degree():
         raise ValueError("cap must cover the degree of f")
-    return hall_scalar(f, outer_plethysm(g, sigma_series("sigma", 1, cap)).expr)
+    return hall_scalar(f, outer_plethysm(convert(g, "p"),
+                                         sigma_series("sigma", 1, cap)).expr)
 
 
 def gay_restriction(lam, k: int) -> SymExpr:

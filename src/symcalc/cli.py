@@ -160,13 +160,12 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    cache_dir = args.cache or os.environ.get("SYMCALC_CACHE")
-    if cache_dir:
-        try:
-            set_cache_dir(cache_dir)
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_IO
+    # set on every call: an earlier in-process call's directory is not kept
+    try:
+        set_cache_dir(args.cache or os.environ.get("SYMCALC_CACHE") or None)
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         return _run(args)
     except OSError as exc:

@@ -6,18 +6,20 @@ permutation matrix.
 
 Adams operations and inner plethysm are pointwise on cycle types: they
 read and write the character values chi_f(nu) = <f, p_nu> of
-``symfunc._class_values``, with one conversion in and one out.
+``symfunc._class_values``, ints for integral f.  Inner plethysm and
+eigenvalue evaluation sum g's power-sum terms with int weights L [p_mu]g,
+L = (deg g)!, and divide by L once (``_eval_power_sums``), at
+v(k) = chi_f(psi_k nu) for g^[f] and at v(r) = sum_{d | r} d m_d(mu)
+for g(Omega_mu).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeffs import Coeff
 from .partitions import (multiplicities, partition, partitions_of,
                          power_cycle_type)
-from .symfunc import (SymExpr, _class_values, _from_class_values, _to_p,
-                      homog)
+from .symfunc import (SymExpr, _class_values, _from_class_values, _over,
+                      _p_weights, homog)
 
 
 def adams(f: SymExpr, k: int) -> SymExpr:
@@ -38,6 +40,24 @@ def adams(f: SymExpr, k: int) -> SymExpr:
     return _from_class_values(out, f.basis)
 
 
+def _eval_power_sums(weights, value):
+    """sum_mu w_mu prod_{k in mu} value(k), with value(k) computed once
+    per k; ints for int weights and values."""
+    values: dict = {}
+    total = 0
+    for mu, w in weights:
+        for k in mu:
+            v = values.get(k)
+            if v is None:
+                v = values[k] = value(k)
+            w = w * v
+            if not w:
+                break
+        else:
+            total = total + w
+    return total
+
+
 def inner_plethysm(g: SymExpr, f: SymExpr) -> SymExpr:
     """g^[f] for f homogeneous of degree n.
 
@@ -48,19 +68,11 @@ def inner_plethysm(g: SymExpr, f: SymExpr) -> SymExpr:
     if not f.is_homogeneous():
         raise ValueError("inner plethysm requires homogeneous f")
     chi = _class_values(f)
-    gp = _to_p(g)
-    out = {}
-    for nu in partitions_of(f.degree()):
-        psi: dict = {}
-        total: Coeff = Fraction(0)
-        for mu, c in gp.items():
-            for k in mu:
-                if k not in psi:
-                    psi[k] = chi.get(power_cycle_type(nu, k), 0)
-                c = c * psi[k]
-            total = total + c
-        out[nu] = total
-    return _from_class_values(out, f.basis)
+    big, weights = _p_weights(g)
+    out = {nu: _eval_power_sums(
+               weights, lambda k: chi.get(power_cycle_type(nu, k), 0))
+           for nu in partitions_of(f.degree())}
+    return _from_class_values(out, f.basis, big)
 
 
 def eigenvalue_eval(f: SymExpr, mu) -> Coeff:
@@ -68,17 +80,11 @@ def eigenvalue_eval(f: SymExpr, mu) -> Coeff:
 
     Uses p_r(Omega_mu) = sum_{d | r} d m_d(mu).
     """
-    mu = partition(mu)
-    mults = multiplicities(mu)
-    fp = _to_p(f)
-    total: Coeff = Fraction(0)
-    for nu, c in fp.items():
-        val = 1
-        for r in nu:
-            val *= sum(d * m for d, m in mults.items() if r % d == 0)
-        if val:
-            total = total + c * val
-    return total
+    mults = multiplicities(partition(mu))
+    big, weights = _p_weights(f)
+    return _over(_eval_power_sums(
+        weights, lambda r: sum(d * m for d, m in mults.items() if r % d == 0)),
+        big)
 
 
 def perm_char(n: int) -> SymExpr:

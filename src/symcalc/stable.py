@@ -217,12 +217,9 @@ def character_polynomial(lam) -> CharPolynomial:
     Coefficient of prod C(m_i, n_i(nu)) is the character value
     <s_lam(X-1), p_nu> = z_nu [p_nu] s_lam(X-1); these are integers.
     """
-    terms = {}
-    for nu, c in _class_values(shift_alphabet(schur(lam), -1)).items():
-        val = as_fraction(c)
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integer character polynomial at {nu}")
-        terms[nu] = int(val)
+    terms = _class_values(shift_alphabet(schur(lam), -1))
+    if not all(isinstance(c, int) for c in terms.values()):
+        raise ArithmeticError(f"non-integer character polynomial: {terms}")
     return CharPolynomial(terms)
 
 

@@ -15,8 +15,14 @@ multiplicative:
 
 A degree-n component is also a class function of S_n, with values
 chi_f(nu) = <f, p_nu> = z_nu [p_nu]f on the cycle types nu (see
-``_class_values``).  Whole-character operations (internal product, Adams
-operations, inner plethysm) are pointwise on these values.
+``_class_values``), ints for integral f.  Whole-character operations
+(internal product, Adams operations, inner plethysm) and the Hall pairing
+are pointwise on these values, in int arithmetic; so are the class sums
+N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f, with |C_nu| = n!/z_nu.  They
+are read back through the integer columns of p_nu in each basis (MN
+characters for s, [h_lam]p_nu for h and e, [m_lam]p_nu for m), with one
+division per coefficient: [s_lam]f = sum_nu N(nu) chi^lam(nu) / n!
+(``_from_class_sums``).
 
 Products in the multiplicative bases p, h and e all go through one
 kernel, ``_p_mult_basis``.  Transition data is memoized in memory; the
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 from . import cache as _cache
 from .coeffs import (Coeff, ParamPoly, coeff_from_json, coeff_subs,
@@ -232,22 +239,38 @@ def _add_scaled(out: dict, c, terms) -> None:
         out[nu] = cd if prev is None else prev + cd
 
 
-def _p_mult_basis(factors, cap=None) -> dict:
+def _as_int(c):
+    """An integral Fraction as an int, so that sums over cycle types run
+    in int arithmetic; anything else unchanged."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _over(c, d: int) -> Coeff:
+    """c / d for an int, Fraction or ParamPoly c: ends an integer sum."""
+    return c * Fraction(1, d) if isinstance(c, ParamPoly) else Fraction(c, d)
+
+
+def _p_mult_basis(factors, cap=None, binomial=False) -> dict:
     """Product of expansions in a multiplicative basis (p, h or e).
 
     Each factor is an iterable of (partition, coeff) pairs; keys
     concatenate and sort.  With ``cap``, terms above that degree are
-    dropped as they arise.
+    dropped as they arise.  With ``binomial``, the factors are p-basis
+    class sums N(nu) = |nu|! [p_nu]F, and the product of the terms at
+    lam and mu carries the weight C(|lam| + |mu|, |lam|).
     """
-    acc = {(): Fraction(1)}
+    acc = {(): 1}
     for terms in factors:
         nxt: dict = {}
         for lam, c in acc.items():
+            a = sum(lam)
             for mu, d in terms:
-                key = tuple(sorted(lam + mu, reverse=True))
+                key = tuple(sorted(lam + mu, reverse=True)) if lam else mu
                 if cap is not None and sum(key) > cap:
                     continue
                 cd = c * d
+                if binomial and a:
+                    cd = cd * comb(a + sum(mu), a)
                 prev = nxt.get(key)
                 nxt[key] = cd if prev is None else prev + cd
         acc = {k: v for k, v in nxt.items() if v}
@@ -451,16 +474,79 @@ def convert(f: SymExpr, target: str) -> SymExpr:
     return f.in_basis(target)
 
 
+@lru_cache(maxsize=None)
+def _class_size(nu: tuple) -> int:
+    """|C_nu| = |nu|! / z_nu, the number of permutations of cycle type nu."""
+    return factorial(sum(nu)) // z_value(nu)
+
+
+@lru_cache(maxsize=None)
+def _class_row(basis: str, lam: tuple) -> dict:
+    """{nu: <b_lam, p_nu>}, the nonzero class values of one basis element
+    as ints: z_nu [p_nu]b_lam, read off the conversion tables."""
+    return {nu: int(c * z_value(nu))
+            for nu, c in _to_p(SymExpr(basis, {lam: 1})).items()}
+
+
 def _class_values(f: SymExpr) -> dict:
     """Character values chi_f(nu) = <f, p_nu> = z_nu [p_nu]f, keyed by
-    cycle type nu; integers for integral f."""
-    return {nu: c * z_value(nu) for nu, c in _to_p(f).items()}
+    cycle type nu; ints for integral f."""
+    out: dict = {}
+    for lam, c in f.terms.items():
+        _add_scaled(out, _as_int(c), _class_row(f.basis, lam).items())
+    return {nu: _as_int(v) for nu, v in out.items() if v}
 
 
-def _from_class_values(chi: dict, target: str) -> SymExpr:
-    """The symmetric function with character values chi, in ``target``."""
-    return _from_p({nu: c * Fraction(1, z_value(nu))
-                    for nu, c in chi.items() if c}, target)
+def _class_sums(f: SymExpr) -> dict:
+    """Class sums N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f."""
+    return {nu: c * _class_size(nu) for nu, c in _class_values(f).items()}
+
+
+def _p_weights(f: SymExpr):
+    """(L, [(mu, L [p_mu]f), ...]) with L = (deg f)!, ints for integral
+    f: the class values times L / z_mu."""
+    big = factorial(f.degree())
+    return big, [(mu, c * (big // z_value(mu)))
+                 for mu, c in _class_values(f).items()]
+
+
+@lru_cache(maxsize=None)
+def _p_in_basis(target: str, nu: tuple) -> tuple:
+    """p_nu = sum_lam a_lam b_lam in ``target``, as int pairs (lam, a_lam):
+    MN characters for s, [h_lam]p_nu for h (omega sign for e),
+    [m_lam]p_nu for m."""
+    n = sum(nu)
+    if target == "s":
+        col = ((lam, char_value(lam, nu)) for lam in partitions_of(n))
+    elif target == "m":
+        col = _p_in_m_degree(n)[nu]
+    elif target == "p":
+        col = ((nu, 1),)
+    else:
+        sign = -1 if target == "e" and (n - len(nu)) % 2 else 1
+        col = ((lam, sign * v) for lam, v in _p_in_h(nu))
+    return tuple((lam, int(v)) for lam, v in col if v)
+
+
+def _from_class_sums(sums: dict, target: str, scale: int = 1) -> SymExpr:
+    """sum_nu sums(nu) p_nu / (scale |nu|!), in ``target``.
+
+    An int sum over the integer columns of ``_p_in_basis`` for int class
+    sums, divided once per output coefficient: for s,
+    [s_lam]f = sum_nu N(nu) chi^lam(nu) / n!.
+    """
+    out: dict = {}
+    for nu, c in sums.items():
+        if c:
+            _add_scaled(out, _as_int(c), _p_in_basis(target, nu))
+    return SymExpr(target, {lam: _over(v, scale * factorial(sum(lam)))
+                            for lam, v in out.items() if v})
+
+
+def _from_class_values(chi: dict, target: str, scale: int = 1) -> SymExpr:
+    """The symmetric function with character values chi / scale."""
+    return _from_class_sums({nu: c * _class_size(nu) for nu, c in chi.items()},
+                            target, scale)
 
 
 # -- products and pairings ----------------------------------------------
@@ -473,16 +559,16 @@ def multiply(f: SymExpr, g: SymExpr) -> SymExpr:
 
 
 def hall_scalar(f: SymExpr, g: SymExpr) -> Coeff:
-    """Hall scalar product <p_lam, p_mu> = z_lam delta."""
-    a, b = _to_p(f), _to_p(g)
-    if len(b) < len(a):
-        a, b = b, a
-    total: Coeff = Fraction(0)
+    """Hall scalar product: sum_nu chi_f(nu) chi_g(nu) |C_nu| / n! over
+    the classes of each degree n, with one division per degree."""
+    a, b = _class_values(f), _class_values(g)
+    by_deg: dict = {}
     for nu, c in a.items():
-        d = b.get(nu)
-        if d:
-            total = total + c * d * z_value(nu)
-    return total
+        if nu in b:
+            n = sum(nu)
+            by_deg[n] = by_deg.get(n, 0) + c * b[nu] * _class_size(nu)
+    return sum((_over(acc, factorial(n)) for n, acc in by_deg.items()),
+               Fraction(0))
 
 
 def internal(f: SymExpr, g: SymExpr) -> SymExpr:

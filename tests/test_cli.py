@@ -285,3 +285,23 @@ def test_stale_cmatrix_entries_are_not_read(tmp_path):
         assert proc.stdout == fh.read()
     assert sorted(f for f in os.listdir(cache)
                   if f.startswith("cmatrix-")) == sorted(planted)
+
+
+def test_cache_dir_does_not_leak_into_later_calls(tmp_path, monkeypatch):
+    # an in-process main() without --cache must not keep using the
+    # directory an earlier call installed
+    import os
+    from symcalc.cache import set_cache_dir
+    from symcalc.stable import _pleth_columns
+    monkeypatch.delenv("SYMCALC_CACHE", raising=False)
+    cache = str(tmp_path / "cache")
+    try:
+        code, out, _ = run_cli(["--cache", cache, "eval", "th[2]"])
+        assert code == 0 and out.strip()
+        before = sorted(os.listdir(cache))
+        _pleth_columns.cache_clear()   # force the next call to need a table
+        code, out, _ = run_cli(["eval", "th[3,1]"])
+        assert code == 0 and out.strip()
+        assert sorted(os.listdir(cache)) == before
+    finally:
+        set_cache_dir(None)
