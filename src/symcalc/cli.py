@@ -133,15 +133,23 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "reduced-kron":
-        coeffs = reduced_kron(args.lam, args.mu)
+        try:
+            coeffs = reduced_kron(args.lam, args.mu)
+        except (ArithmeticError, ValueError) as exc:
+            print(f"evaluation error: {exc}", file=sys.stderr)
+            return EXIT_EVAL
         for nu in sorted(coeffs, key=lambda t: (sum(t), t)):
             if coeffs[nu]:
                 out.write(f"{','.join(map(str, nu)) or '0'}: {coeffs[nu]}\n")
         return EXIT_OK
 
     if args.command == "charpoly":
-        out.write(render_charpoly(character_polynomial(args.lam),
-                                  args.format) + "\n")
+        try:
+            poly = character_polynomial(args.lam)
+        except (ArithmeticError, ValueError) as exc:
+            print(f"evaluation error: {exc}", file=sys.stderr)
+            return EXIT_EVAL
+        out.write(render_charpoly(poly, args.format) + "\n")
         return EXIT_OK
 
     if args.command == "endofunctions":

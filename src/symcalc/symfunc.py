@@ -2,28 +2,26 @@
 
 ``SymExpr`` is a sparse, basis-tagged expansion: a map from partitions to
 coefficients in one of the bases m/e/h/p/s.  Inhomogeneous expressions are
-first-class.  Everything pivots through the power-sum basis, where the
-Hall pairing, internal product and Foulkes derivative are diagonal or
-multiplicative:
-
-* h,e -> p by Newton's identity n h_n = sum_k p_k h_{n-k},
-* p -> h,e by Newton's identity p_k = k h_k - sum_{i<k} h_{k-i} p_i,
-  a product over the parts of p_nu, with omega for e,
-* s <-> p by Murnaghan-Nakayama characters,
-* p <-> m by Hall duality with h: [m_mu]p_nu = <p_nu, h_mu> =
-  z_nu [p_nu]h_mu, and m_lambda = sum_nu [h_lambda]p_nu p_nu / z_nu.
+first-class.
 
 A degree-n component is also a class function of S_n, with values
-chi_f(nu) = <f, p_nu> = z_nu [p_nu]f on the cycle types nu (see
-``_class_values``), ints for integral f.  Whole-character operations
-(internal product, Adams operations, inner plethysm) and the Hall pairing
-are pointwise on these values, in int arithmetic; so are the class sums
-N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f, with |C_nu| = n!/z_nu.  They
-are read back through the integer columns of p_nu in each basis (MN
-characters for s, [h_lam]p_nu for h and e, [m_lam]p_nu for m), with one
-division per coefficient: [s_lam]f = sum_nu N(nu) chi^lam(nu) / n!
-(``_from_class_sums``).
+chi_f(nu) = <f, p_nu> = z_nu [p_nu]f on the cycle types nu, and class
+sums N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f, with |C_nu| = n!/z_nu.
+Both are ints for integral f.  Every change of basis goes through them:
 
+* in: chi_f is a sum of integer class rows <b_lam, p_nu> (``_class_row``).
+  By Hall duality such a value is the coefficient of the dual basis
+  element in p_nu: the MN character chi^lam(nu) for s, z_lam for p,
+  [h_lam]p_nu for m (Newton's identity, p_k = k h_k - sum h_{k-i} p_i).
+  For h the class sums of h_k are all |C_nu| and multiply as class sums;
+  e is h with the omega sign.
+* out: one readout, [b_lam]f = sum_nu N(nu) [b_lam]p_nu / n!, an int sum
+  over the integer columns of p_nu (MN characters for s, [h_lam]p_nu for
+  h, with the omega sign for e, <p_nu, h_lam> for m) with one division
+  per coefficient (``_from_class_sums``).
+
+Whole-character operations (internal product, Adams operations, inner
+plethysm) and the Hall pairing are pointwise on the class values.
 Products in the multiplicative bases p, h and e all go through one
 kernel, ``_p_mult_basis``.  Transition data is memoized in memory; the
 character tables can also be persisted (see ``symcalc.cache``).
@@ -148,7 +146,7 @@ class SymExpr:
     def in_basis(self, target: str) -> "SymExpr":
         if target == self.basis:
             return self
-        return _from_p(_to_p(self), target)
+        return _from_class_sums(_class_sums(self), target)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, ParamPoly)):
@@ -278,26 +276,6 @@ def _p_mult_basis(factors, cap=None, binomial=False) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _hn_in_p(n: int):
-    """p-expansion of h_n via Newton: n h_n = sum p_k h_{n-k}."""
-    if n == 0:
-        return (((), Fraction(1)),)
-    acc: dict = {}
-    for k in range(1, n + 1):
-        p = (((k,), Fraction(1)),)
-        _add_scaled(acc, 1, _p_mult_basis((p, _hn_in_p(n - k))).items())
-    return tuple(sorted(((lam, c / n) for lam, c in acc.items()),
-                        key=lambda kv: canonical_key(kv[0])))
-
-
-@lru_cache(maxsize=None)
-def _en_in_p(n: int):
-    """p-expansion of e_n: the omega image of h_n."""
-    return tuple((lam, c if (n - len(lam)) % 2 == 0 else -c)
-                 for lam, c in _hn_in_p(n))
-
-
-@lru_cache(maxsize=None)
 def char_value(lam: tuple, mu: tuple) -> int:
     """Murnaghan-Nakayama border-strip recursion via beta numbers."""
     if not lam:
@@ -340,22 +318,11 @@ def character_table(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _sn_in_p(lam: tuple):
-    """p-expansion of s_lambda: sum chi^lam_nu p_nu / z_nu."""
-    out = []
-    for nu in partitions_of(sum(lam)):
-        chi = char_value(lam, nu)
-        if chi:
-            out.append((nu, Fraction(chi, z_value(nu))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _p_in_m_count(lam: tuple, mu: tuple) -> int:
     """Coefficient of m_mu in p_lam: assignments of parts of lam to the
     columns of mu with prescribed column sums.
 
-    Not on the conversion path (that is ``_p_in_m_degree``); kept as the
+    Not on the conversion path (that is Hall duality with h); kept as the
     independent count the duality tables are tested against."""
     ell = len(mu)
 
@@ -376,98 +343,47 @@ def _p_in_m_count(lam: tuple, mu: tuple) -> int:
 @lru_cache(maxsize=None)
 def _pk_in_h(k: int):
     """h-expansion of p_k via Newton: p_k = k h_k - sum_{i<k} h_{k-i} p_i."""
-    acc = {(k,): Fraction(k)}
+    acc = {(k,): k}
     for i in range(1, k):
-        h = (((k - i,), Fraction(-1)),)
+        h = (((k - i,), -1),)
         _add_scaled(acc, 1, _p_mult_basis((h, _pk_in_h(i))).items())
     return tuple((lam, c) for lam, c in acc.items() if c)
 
 
 @lru_cache(maxsize=None)
-def _p_in_h(nu: tuple):
-    """h-expansion of p_nu: h is multiplicative, so a product over parts."""
+def _p_in_h(nu: tuple) -> dict:
+    """{lam: [h_lam]p_nu}, ints: h is multiplicative, so a product over
+    the parts of nu."""
     if not nu:
-        return (((), Fraction(1)),)
-    return tuple(_p_mult_basis((_pk_in_h(nu[0]), _p_in_h(nu[1:]))).items())
-
-
-@lru_cache(maxsize=None)
-def _m_in_p_degree(n: int):
-    """All m_lambda of degree n in p, by Hall duality with h:
-    m_lambda = sum_nu [h_lambda]p_nu p_nu / z_nu."""
-    rows: dict = {lam: [] for lam in partitions_of(n)}
-    for nu in partitions_of(n):
-        z = z_value(nu)
-        for lam, c in _p_in_h(nu):
-            rows[lam].append((nu, c / z))
-    return {lam: tuple(row) for lam, row in rows.items()}
+        return {(): 1}
+    return _p_mult_basis((_pk_in_h(nu[0]), _p_in_h(nu[1:]).items()))
 
 
 def _m_in_p(lam: tuple):
-    return _m_in_p_degree(sum(lam))[lam]
+    """m_lam in p, as (nu, [p_nu]m_lam) pairs."""
+    return tuple(_to_p(SymExpr("m", {lam: 1})).items())
 
 
-@lru_cache(maxsize=None)
-def _p_in_m_degree(n: int):
-    """All p_nu of degree n in m, by Hall duality with h:
-    [m_mu]p_nu = <p_nu, h_mu> = z_nu [p_nu]h_mu, an integer."""
-    rows: dict = {nu: [] for nu in partitions_of(n)}
-    for mu in partitions_of(n):
-        for nu, c in _p_mult_basis(_hn_in_p(part) for part in mu).items():
-            rows[nu].append((mu, int(c * z_value(nu))))
-    return {nu: tuple(row) for nu, row in rows.items()}
+def _omega_sign(nu: tuple) -> int:
+    """omega(p_nu) = (-1)^(|nu| - len(nu)) p_nu."""
+    return -1 if (sum(nu) - len(nu)) % 2 else 1
 
 
 # -- basis conversion ---------------------------------------------------
 
 
 def _to_p(expr: SymExpr) -> dict:
-    """Expansion of expr in the p basis: dict partition -> Coeff."""
+    """Expansion of expr in the p basis: [p_nu]f = chi_f(nu) / z_nu."""
     if expr.basis == "p":
         return dict(expr.terms)
-    out: dict = {}
-    for lam, c in expr.terms.items():
-        if expr.basis == "h":
-            piece = _p_mult_basis(_hn_in_p(part) for part in lam).items()
-        elif expr.basis == "e":
-            piece = _p_mult_basis(_en_in_p(part) for part in lam).items()
-        elif expr.basis == "s":
-            piece = _sn_in_p(lam)
-        else:
-            piece = _m_in_p(lam)
-        _add_scaled(out, c, piece)
-    return {k: v for k, v in out.items() if v}
+    return {nu: _over(c, z_value(nu)) for nu, c in _class_values(expr).items()}
 
 
 def _from_p(pterms: dict, target: str) -> SymExpr:
-    if target == "p":
-        return SymExpr("p", pterms)
-    out: dict = {}
-    if target in ("h", "e"):
-        # e through the omega involution, which is a sign on p_nu
-        for nu, c in pterms.items():
-            if target == "e" and (sum(nu) - len(nu)) % 2:
-                c = -c
-            _add_scaled(out, c, _p_in_h(nu))
-        return SymExpr(target, out)
-    if target == "m":
-        for nu, c in pterms.items():
-            _add_scaled(out, c, _p_in_m_degree(sum(nu))[nu])
-        return SymExpr("m", out)
-    by_deg: dict = {}
-    for nu, c in pterms.items():
-        by_deg.setdefault(sum(nu), {})[nu] = c
-    for d, terms in by_deg.items():
-        for lam in partitions_of(d):
-            acc = None
-            for nu, c in terms.items():
-                chi = char_value(lam, nu)
-                if chi:
-                    piece = c * chi
-                    acc = piece if acc is None else acc + piece
-            if acc is not None:
-                out[lam] = acc
-    return SymExpr(target, out)
+    """sum_nu pterms(nu) p_nu in ``target``: the readout of the class sums
+    |nu|! pterms(nu)."""
+    return _from_class_sums({nu: c * factorial(sum(nu))
+                             for nu, c in pterms.items()}, target)
 
 
 def convert(f: SymExpr, target: str) -> SymExpr:
@@ -483,9 +399,30 @@ def _class_size(nu: tuple) -> int:
 @lru_cache(maxsize=None)
 def _class_row(basis: str, lam: tuple) -> dict:
     """{nu: <b_lam, p_nu>}, the nonzero class values of one basis element
-    as ints: z_nu [p_nu]b_lam, read off the conversion tables."""
-    return {nu: int(c * z_value(nu))
-            for nu, c in _to_p(SymExpr(basis, {lam: 1})).items()}
+    as ints.  By Hall duality <b_lam, p_nu> is the coefficient of b*_lam
+    in p_nu for the dual basis b*: chi^lam(nu) for s, z_lam for p,
+    [h_lam]p_nu for m.  For h it is N(nu) / |C_nu|, where the class sums
+    N of h_lam are the product of those of its parts, N_{h_k}(nu) = |C_nu|;
+    e is h with the omega sign."""
+    n = sum(lam)
+    if basis == "s":
+        row = ((nu, char_value(lam, nu)) for nu in partitions_of(n))
+    elif basis == "m":
+        row = ((nu, _p_in_h(nu).get(lam, 0)) for nu in partitions_of(n))
+    elif basis == "p":
+        row = ((lam, z_value(lam)),)
+    elif not lam:
+        row = (((), 1),)
+    else:
+        head = [(nu, _class_size(nu)) for nu in partitions_of(lam[0])]
+        tail = [(nu, v * _class_size(nu))
+                for nu, v in _class_row("h", lam[1:]).items()]
+        sums = _p_mult_basis((head, tail), binomial=True)
+        row = ((nu, sums[nu] // _class_size(nu))
+               for nu in partitions_of(n) if nu in sums)
+        if basis == "e":
+            row = ((nu, _omega_sign(nu) * v) for nu, v in row)
+    return {nu: v for nu, v in row if v}
 
 
 def _class_values(f: SymExpr) -> dict:
@@ -513,23 +450,25 @@ def _p_weights(f: SymExpr):
 @lru_cache(maxsize=None)
 def _p_in_basis(target: str, nu: tuple) -> tuple:
     """p_nu = sum_lam a_lam b_lam in ``target``, as int pairs (lam, a_lam):
-    MN characters for s, [h_lam]p_nu for h (omega sign for e),
-    [m_lam]p_nu for m."""
+    MN characters for s, [h_lam]p_nu for h (omega sign for e), and for m
+    the transpose of the h class rows, [m_lam]p_nu = <p_nu, h_lam>."""
     n = sum(nu)
     if target == "s":
         col = ((lam, char_value(lam, nu)) for lam in partitions_of(n))
     elif target == "m":
-        col = _p_in_m_degree(n)[nu]
+        col = ((lam, _class_row("h", lam).get(nu, 0))
+               for lam in partitions_of(n))
     elif target == "p":
         col = ((nu, 1),)
     else:
-        sign = -1 if target == "e" and (n - len(nu)) % 2 else 1
-        col = ((lam, sign * v) for lam, v in _p_in_h(nu))
-    return tuple((lam, int(v)) for lam, v in col if v)
+        sign = _omega_sign(nu) if target == "e" else 1
+        col = ((lam, sign * v) for lam, v in _p_in_h(nu).items())
+    return tuple((lam, v) for lam, v in col if v)
 
 
 def _from_class_sums(sums: dict, target: str, scale: int = 1) -> SymExpr:
-    """sum_nu sums(nu) p_nu / (scale |nu|!), in ``target``.
+    """sum_nu sums(nu) p_nu / (scale |nu|!), in ``target``: the one readout
+    of every change of basis.
 
     An int sum over the integer columns of ``_p_in_basis`` for int class
     sums, divided once per output coefficient: for s,
@@ -603,8 +542,8 @@ def foulkes_derivative(f: SymExpr, g: SymExpr) -> SymExpr:
 def omega(f: SymExpr) -> SymExpr:
     """The involution exchanging h and e (sign on power sums)."""
     p = _to_p(f)
-    return _from_p({nu: (c if (sum(nu) - len(nu)) % 2 == 0 else -c)
-                    for nu, c in p.items()}, f.basis)
+    return _from_p({nu: _omega_sign(nu) * c for nu, c in p.items()},
+                   f.basis)
 
 
 # -- characters and Littlewood-Richardson --------------------------------

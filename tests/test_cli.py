@@ -305,3 +305,26 @@ def test_cache_dir_does_not_leak_into_later_calls(tmp_path, monkeypatch):
         assert sorted(os.listdir(cache)) == before
     finally:
         set_cache_dir(None)
+
+
+@pytest.mark.parametrize("command, target, exc", [
+    (["reduced-kron", "--lambda", "2,1", "--mu", "1"], "reduced_kron",
+     ArithmeticError("non-integer coefficient")),
+    (["reduced-kron", "--lambda", "2", "--mu", "1"], "reduced_kron",
+     ValueError("size mismatch")),
+    (["charpoly", "--lambda", "2,1"], "character_polynomial",
+     ZeroDivisionError("division by zero")),
+    (["charpoly", "--lambda", "2"], "character_polynomial",
+     ValueError("bad class value")),
+])
+def test_library_errors_exit_3_without_traceback(command, target, exc,
+                                                 monkeypatch):
+    import symcalc.cli
+
+    def fail(*args):
+        raise exc
+    monkeypatch.setattr(symcalc.cli, target, fail)
+    code, out, err = run_cli(command)
+    assert code == 3
+    assert err == f"evaluation error: {exc}\n"
+    assert out == "" and "Traceback" not in err
