@@ -2,9 +2,11 @@
 
 Conventions: p_k applied to an expression substitutes p_j -> p_{jk} and
 raises every formal parameter to the k-th power; rational scalars are
-fixed (they are binomial elements).  Infinite series (sigma_1, sigma_1-1,
-the inverse -L(-X)) are carried as ``TruncatedSeries`` with an explicit
-degree cap that only shrinks under arithmetic.
+fixed (they are binomial elements), so the alphabet shift f(X+-1) is the
+plethysm f[p_1 +- 1] and the negation f(-X) is f[-p_1].  Infinite series
+(sigma_1, sigma_1-1, the inverse -L(-X)) are carried as
+``TruncatedSeries`` with an explicit degree cap that only shrinks under
+arithmetic.
 """
 
 from __future__ import annotations
@@ -109,15 +111,11 @@ def outer_plethysm(f: SymExpr, g):
 
 
 def shift_alphabet(f: SymExpr, c: int) -> SymExpr:
-    """f(X+c) for c = +1 or -1: substitute p_k -> p_k + c."""
+    """f(X+c) for c = +1 or -1: the plethysm f[p_1 + c], since p_k fixes
+    the rational constant c."""
     if c not in (1, -1):
         raise ValueError("shift must be +1 or -1")
-    out: dict = {}
-    for nu, coef in _to_p(f).items():
-        factors = ((((k,), Fraction(1)), ((), Fraction(c))) for k in nu)
-        _add_scaled(out, coef, _p_mult_basis(factors).items())
-    return _from_p({k: v for k, v in out.items() if v},
-                   f.basis)
+    return outer_plethysm(f, power([1]) + c)
 
 
 def scale_alphabet(f: SymExpr, mode: str, qcap: int, param: str = "q") -> SymExpr:

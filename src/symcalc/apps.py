@@ -1,5 +1,10 @@
 """Applications: dualities, zero-weight restrictions, weight-orbit
 decompositions, endofunction counts, and pure braid group cohomology.
+
+Zero-weight spaces and weight-orbit decompositions are one adjoint of
+plethysm, f -> sum_mu <f, m_mu[g]> h_mu (``_pleth_adjoint``), for g = h_k
+or a weight alphabet t_0 + t_1 h_1 + ...; the answer is then read out in
+the basis asked for.
 """
 
 from __future__ import annotations
@@ -9,10 +14,10 @@ from fractions import Fraction
 from .alphabets import (TruncatedSeries, binomial_exp_product, lie_character,
                         outer_plethysm, sigma_series)
 from .coeffs import Coeff, ParamPoly
-from .partitions import partition, partitions_of
+from .partitions import partitions_of, partitions_up_to
 from .stable import StableChar
-from .symfunc import (SymExpr, _to_p, convert, elem, hall_scalar, homog,
-                      mono, multiply, schur)
+from .symfunc import (SymExpr, convert, elem, hall_scalar, homog, mono,
+                      multiply, power, schur)
 
 
 def littlewood_pair(f: SymExpr, g: SymExpr, cap: int) -> Coeff:
@@ -24,38 +29,35 @@ def littlewood_pair(f: SymExpr, g: SymExpr, cap: int) -> Coeff:
                                          sigma_series("sigma", 1, cap)).expr)
 
 
+def _pleth_adjoint(f: SymExpr, g, mus) -> SymExpr:
+    """sum_{mu in mus} <f, m_mu[g]> h_mu, the adjoint of plethysm by g.
+    Over all mu of one size this equals sum <f, s_mu[g]> s_mu, since
+    (m, h) and (s, s) are dual pairs.  g is truncated at the degree of f,
+    all that the pairing with a homogeneous f sees."""
+    g = TruncatedSeries(g, f.degree())
+    return SymExpr("h", {mu: hall_scalar(f, outer_plethysm(mono(mu), g).expr)
+                         for mu in mus})
+
+
+def _zero_weight(f: SymExpr, k: int) -> SymExpr:
+    """sum_{mu |- d/k} <f, m_mu[h_k]> h_mu for f of degree d; 0 when k does
+    not divide d."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    d = f.degree()
+    return _pleth_adjoint(f, homog([k]), [] if d % k else partitions_of(d // k))
+
+
 def gay_restriction(lam, k: int) -> SymExpr:
     """Characteristic of the zero weight space of V_lam(C^n), |lam| = nk:
     the adjoint of f -> f[h_k] applied to s_lam."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    lam = partition(lam)
-    d = sum(lam)
-    total = SymExpr("s")
-    if d % k:
-        return total
-    for mu in partitions_of(d // k):
-        c = hall_scalar(schur(lam), outer_plethysm(schur(mu), homog([k])))
-        if c:
-            total = total + schur(mu) * c
-    return total
+    return convert(_zero_weight(schur(lam), k), "s")
 
 
 def gay_restriction_perm(lam, k: int) -> SymExpr:
     """h-version of the zero weight space, for S^lam = tensor product of
     symmetric powers: sum_mu <h_lam, m_mu[h_k]> h_mu."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    lam = partition(lam)
-    d = sum(lam)
-    total = SymExpr("h")
-    if d % k:
-        return total
-    for mu in partitions_of(d // k):
-        c = hall_scalar(homog(lam), outer_plethysm(mono(mu), homog([k])))
-        if c:
-            total = total + homog(mu) * c
-    return total
+    return _zero_weight(homog(lam), k)
 
 
 def _weight_alphabet(max_weight: int, with_t0: bool = True) -> SymExpr:
@@ -70,33 +72,17 @@ def _weight_alphabet(max_weight: int, with_t0: bool = True) -> SymExpr:
 
 
 def weight_orbit_decomposition(f: SymExpr, n: int, max_weight: int) -> SymExpr:
-    """Restriction of a GL(n)-module to S_n, graded by weight orbits.
+    """Restriction of a GL(n)-module to S_n, graded by weight orbits:
+    sum_{mu |- n} <f, m_mu[t_0 + t_1 h_1 + ...]> h_mu, in the basis of f.
 
-    For f = s_lam returns sum_{mu |- n} <s_lam, s_mu[t_0 + t_1 h_1 + ...]>
-    s_mu; for f = h_lam the analogous (h, m) pairing on h_mu.  The
-    coefficient of the monomial t^nu is the characteristic of the sum of
-    the weight spaces in the S_n-orbit of nu.  Setting every t_j = 1
+    The coefficient of the monomial t^nu is the characteristic of the sum
+    of the weight spaces in the S_n-orbit of nu.  Setting every t_j = 1
     recovers the full branching rule.
     """
     if not f.is_homogeneous() or not f.terms:
         raise ValueError("weight decomposition requires homogeneous input")
-    alphabet = _weight_alphabet(max_weight)
-    d = f.degree()
-    total = SymExpr(f.basis)
-    for mu in partitions_of(n):
-        if f.basis == "h":
-            pleth = outer_plethysm(mono(mu),
-                                   TruncatedSeries(alphabet, d)).expr
-            c = hall_scalar(f, pleth)
-            dual = homog(mu)
-        else:
-            pleth = outer_plethysm(schur(mu),
-                                   TruncatedSeries(alphabet, d)).expr
-            c = hall_scalar(convert(f, "s"), pleth)
-            dual = schur(mu)
-        if c:
-            total = total + dual * c
-    return total
+    return convert(_pleth_adjoint(f, _weight_alphabet(max_weight),
+                                  partitions_of(n)), f.basis)
 
 
 def stable_weight_orbits(f: SymExpr) -> StableChar:
@@ -106,17 +92,8 @@ def stable_weight_orbits(f: SymExpr) -> StableChar:
     if not f.is_homogeneous() or not f.terms:
         raise ValueError("stable weight decomposition requires homogeneous input")
     d = f.degree()
-    alphabet = _weight_alphabet(d, with_t0=False)
-    fh = convert(f, "h")
-    total = SymExpr("h")
-    for size in range(1, d + 1):
-        for mu in partitions_of(size):
-            pleth = outer_plethysm(mono(mu),
-                                   TruncatedSeries(alphabet, d)).expr
-            c = hall_scalar(fh, pleth)
-            if c:
-                total = total + homog(mu) * c
-    return StableChar(total)
+    return StableChar(_pleth_adjoint(f, _weight_alphabet(d, with_t0=False),
+                                     partitions_up_to(d)))
 
 
 def endofunction_signature(n: int) -> ParamPoly:
@@ -173,12 +150,6 @@ def braid_poincare(n: int) -> list:
     return out
 
 
-def _minus_alphabet(f: SymExpr) -> SymExpr:
-    """f(-X): substitute p_k -> -p_k."""
-    return SymExpr("p", {nu: c * Fraction(-1) ** len(nu)
-                         for nu, c in _to_p(f).items()})
-
-
 def stable_cohomology(i: int, cap: int = 0) -> StableChar:
     """The stable character of H^i(P_n; C) for all n at once.
 
@@ -194,7 +165,7 @@ def stable_cohomology(i: int, cap: int = 0) -> StableChar:
     one = ParamPoly.const(1, ("t",), {"t": i})
     acc = SymExpr("p", {(): one})
     for k in range(2, i + 2):
-        lk = _minus_alphabet(lie_character(k))
+        lk = outer_plethysm(lie_character(k), -power([1]))
         factor = SymExpr("p", {(): one})
         j = 1
         while j * (k - 1) <= i:

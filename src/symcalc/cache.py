@@ -29,10 +29,6 @@ def set_cache_dir(path) -> "PersistentCache | None":
     return _active
 
 
-def active_cache() -> "PersistentCache | None":
-    return _active
-
-
 def _checksum(payload_text: str) -> str:
     return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
 

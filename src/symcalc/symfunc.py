@@ -77,14 +77,8 @@ class SymExpr:
 
     # -- inspection ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
-
-    def min_degree(self) -> int:
-        return min((sum(lam) for lam in self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
         return len({sum(lam) for lam in self.terms}) <= 1

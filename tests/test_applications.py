@@ -212,3 +212,15 @@ def test_stable_cohomology_matches_finite():
             got = evaluate_at_n(sc, n)
             want = braid_poincare(n)[i] if i < n else schur([]) * 0
             assert got == want, (i, n)
+
+
+def test_stable_weight_orbits_evaluate_to_weight_orbits_at_every_n():
+    # sigma_1 sum_mu <h_lam, m_mu[t_1 h_1 + ...]> h_mu at S_n is the
+    # weight-orbit decomposition with the weight-0 marker t_0 set to 1
+    from symcalc.symfunc import convert
+    for lam in partitions_up_to(4):
+        sc = stable_weight_orbits(homog(lam))
+        for n in range(1, 8):
+            finite = weight_orbit_decomposition(homog(lam), n, sum(lam))
+            assert evaluate_at_n(sc, n) == \
+                convert(finite.subs_params({"t0": 1}), "s"), (lam, n)

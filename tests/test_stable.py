@@ -467,3 +467,16 @@ def _coproduct_by_triples(lam):
 def test_stable_coproduct_matches_triple_loop():
     for lam in partitions_up_to(5):
         assert stable_coproduct_tilde_s(lam) == _coproduct_by_triples(lam), lam
+
+
+def test_stable_kron_at_every_n():
+    # the stable product is the pointwise product at every n, the
+    # unstable range n < |lam| + lam_1 included
+    for lam in partitions_up_to(3):
+        for mu in partitions_up_to(3):
+            b = angle(mu)
+            for a in (angle(lam), dangle(lam)):
+                prod = stable_kron(a, b)
+                for n in range(9):
+                    assert evaluate_at_n(prod, n) == internal(
+                        evaluate_at_n(a, n), evaluate_at_n(b, n)), (lam, mu, n)
