@@ -17,7 +17,8 @@ from .cache import set_cache_dir
 from .coeffs import TruncationError, format_coeff
 from .expr import EvalError, ParseError, evaluate, parse
 from .partitions import partition
-from .render import render_charpoly, render_symexpr, render_value
+from .render import (render_charpoly, render_symexpr, render_value,
+                     term_sort_key)
 from .stable import character_polynomial, reduced_kron
 from .symfunc import SymExpr
 from .tables import SECTIONS, render_table
@@ -98,12 +99,7 @@ def _run(args) -> int:
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        try:
-            value = evaluate(ast)
-        except (EvalError, TruncationError, ValueError,
-                ZeroDivisionError) as exc:
-            print(f"evaluation error: {exc}", file=sys.stderr)
-            return EXIT_EVAL
+        value = evaluate(ast)
         if isinstance(value, SymExpr):
             value = value.in_basis(args.basis)
             if args.cap is not None and args.cap >= 0:
@@ -117,45 +113,27 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "tables":
-        try:
-            out.write(render_table(args.section, args.max_degree))
-        except ValueError as exc:
-            print(f"evaluation error: {exc}", file=sys.stderr)
-            return EXIT_EVAL
+        out.write(render_table(args.section, args.max_degree))
         return EXIT_OK
 
     if args.command == "braid":
-        if args.n < 1:
-            print("evaluation error: n must be positive", file=sys.stderr)
-            return EXIT_EVAL
         for i, ch in enumerate(braid_poincare(args.n)):
             out.write(f"H^{i}: {render_symexpr(ch, args.format)}\n")
         return EXIT_OK
 
     if args.command == "reduced-kron":
-        try:
-            coeffs = reduced_kron(args.lam, args.mu)
-        except (ArithmeticError, ValueError) as exc:
-            print(f"evaluation error: {exc}", file=sys.stderr)
-            return EXIT_EVAL
-        for nu in sorted(coeffs, key=lambda t: (sum(t), t)):
+        coeffs = reduced_kron(args.lam, args.mu)
+        for nu in sorted(coeffs, key=term_sort_key("asc")):
             if coeffs[nu]:
                 out.write(f"{','.join(map(str, nu)) or '0'}: {coeffs[nu]}\n")
         return EXIT_OK
 
     if args.command == "charpoly":
-        try:
-            poly = character_polynomial(args.lam)
-        except (ArithmeticError, ValueError) as exc:
-            print(f"evaluation error: {exc}", file=sys.stderr)
-            return EXIT_EVAL
+        poly = character_polynomial(args.lam)
         out.write(render_charpoly(poly, args.format) + "\n")
         return EXIT_OK
 
     if args.command == "endofunctions":
-        if args.n < 1:
-            print("evaluation error: n must be positive", file=sys.stderr)
-            return EXIT_EVAL
         sig = endofunction_signature(args.n)
         total = sum(sig.terms.values(), Fraction(0))
         out.write(f"{format_coeff(sig)}\n")
@@ -168,17 +146,16 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    # set on every call: an earlier in-process call's directory is not kept
     try:
+        # set on every call: an earlier in-process call's directory is not kept
         set_cache_dir(args.cache or os.environ.get("SYMCALC_CACHE") or None)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         return _run(args)
-    except OSError as exc:
+    except OSError as exc:  # first: io.UnsupportedOperation is a ValueError
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (EvalError, TruncationError, ArithmeticError, ValueError) as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
 
 
 if __name__ == "__main__":

@@ -331,11 +331,20 @@ def _monomial_str(params, exps, latex=False) -> str:
     return joiner.join(factors)
 
 
+def join_terms(texts) -> str:
+    """Join term texts into a signed sum; a leading '-' is the term's sign."""
+    out = ""
+    for text in texts:
+        if out:
+            out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+        else:
+            out = text
+    return out or "0"
+
+
 def format_coeff(c: Coeff, latex=False) -> str:
     if not isinstance(c, ParamPoly):
         return str(c)
-    if not c.terms:
-        return "0"
     pieces = []
     for exps in sorted(c.terms, key=lambda e: tuple(-x for x in e)):
         coef = c.terms[exps]
@@ -351,7 +360,4 @@ def format_coeff(c: Coeff, latex=False) -> str:
             ctxt = str(coef) if coef.denominator == 1 else f"({coef})"
             txt = f"{ctxt}{sep}{mono}"
         pieces.append(txt)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return join_terms(pieces)

@@ -1,10 +1,16 @@
-"""Rendering of results as plain text, JSON payloads, or LaTeX."""
+"""Rendering of results as plain text, JSON payloads, or LaTeX.
+
+Every signed sum symcalc prints, from SymExpr, StableChar and
+CharPolynomial here to the rows of ``tables``, is one call of
+``render_terms``: a coefficient dict, a name for each partition, a
+term order from ``term_sort_key`` and the separator between a
+coefficient and the name.  ``coeffs.join_terms`` joins the term texts;
+``coeffs.format_coeff`` uses it for the monomials of a ParamPoly.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeffs import ParamPoly, format_coeff
+from .coeffs import ParamPoly, format_coeff, join_terms
 from .partitions import canonical_key, multiplicities
 from .stable import CharPolynomial, StableChar, to_angle_basis
 from .symfunc import SymExpr
@@ -26,56 +32,49 @@ def term_sort_key(order: str):
     raise ValueError(f"unknown term order {order!r}")
 
 
-def _coeff_prefix(c, latex=False):
-    """(sign, multiplier-text) for a coefficient; empty text means 1."""
+def _term(c, name: str, sep: str, latex: bool) -> str:
+    """c*name, with the sign leading; an empty name is the unit."""
+    if isinstance(c, ParamPoly) and c.is_constant():
+        c = c.constant_value()
     if isinstance(c, ParamPoly):
-        if c.is_constant():
-            c = c.constant_value()
-    if isinstance(c, ParamPoly):
-        return 1, f"({format_coeff(c, latex=latex)})"
-    if c < 0:
-        sign, c = -1, -c
+        sign, mult = "", f"({format_coeff(c, latex=latex)})"
     else:
-        sign = 1
-    if c == 1:
-        return sign, ""
-    if latex:
-        return sign, (str(c) if c.denominator == 1
-                      else f"\\frac{{{c.numerator}}}{{{c.denominator}}}")
-    return sign, str(c)
-
-
-def _join_terms(bits):
-    """Assemble [(sign, text)] into a signed sum."""
-    if not bits:
-        return "0"
-    out = []
-    for i, (sign, text) in enumerate(bits):
-        if i == 0:
-            out.append(("-" if sign < 0 else "") + text)
+        sign, c = ("-", -c) if c < 0 else ("", c)
+        if c == 1:
+            mult = ""
+        elif latex and c.denominator != 1:
+            mult = f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
         else:
-            out.append(("- " if sign < 0 else "+ ") + text)
-    return " ".join(out)
+            mult = str(c)
+    if not name:
+        return sign + (mult or "1")
+    return sign + (f"{mult}{sep}{name}" if mult else name)
+
+
+def render_terms(terms: dict, name, order: str, sep: str,
+                 latex: bool = False) -> str:
+    """The signed sum of c*name(lam) over terms {lam: c}.
+
+    Terms go in term_sort_key(order); sep stands between a coefficient
+    other than +-1 and the name.  Coefficients are ints, Fractions or
+    ParamPolys; a non-constant ParamPoly prints in parentheses.
+    """
+    key = term_sort_key(order)
+    return join_terms(_term(terms[lam], name(lam), sep, latex)
+                      for lam in sorted(terms, key=key))
 
 
 def render_symexpr(f: SymExpr, fmt: str = "text", order: str = "desc") -> str:
     if fmt == "json":
         import json
         return json.dumps(f.to_json(), sort_keys=True)
-    key = term_sort_key(order)
-    bits = []
-    for lam in sorted(f.terms, key=key):
-        c = f.terms[lam]
-        if fmt == "latex":
-            name = f"{f.basis}_{{{''.join(map(str, lam))}}}" if lam \
-                else f"{f.basis}_{{0}}"
-            sign, mult = _coeff_prefix(c, latex=True)
-            bits.append((sign, f"{mult}{name}" if mult else name))
-        else:
-            name = f"{f.basis}[{','.join(map(str, lam))}]"
-            sign, mult = _coeff_prefix(c)
-            bits.append((sign, f"{mult}*{name}" if mult else name))
-    return _join_terms(bits)
+    latex = fmt == "latex"
+
+    def name(lam):
+        if latex:
+            return f"{f.basis}_{{{''.join(map(str, lam)) or 0}}}"
+        return f"{f.basis}[{','.join(map(str, lam))}]"
+    return render_terms(f.terms, name, order, "" if latex else "*", latex)
 
 
 def render_stable(sc: StableChar, fmt: str = "text") -> str:
@@ -89,44 +88,29 @@ def render_stable(sc: StableChar, fmt: str = "text") -> str:
                                             "coeff": coeff_to_json(c)}
                                            for lam, c in items]},
                           sort_keys=True)
-    key = term_sort_key("desc")
-    bits = []
-    for lam in sorted(coeffs, key=key):
-        c = coeffs[lam]
-        if fmt == "latex":
-            name = f"\\langle {''.join(map(str, lam)) or '0'}\\rangle"
-            sign, mult = _coeff_prefix(c, latex=True)
-        else:
-            name = f"A[{','.join(map(str, lam))}]"
-            sign, mult = _coeff_prefix(c)
-        bits.append((sign, f"{mult}{'*' if fmt != 'latex' and mult else ''}{name}"
-                     if mult else name))
-    return _join_terms(bits)
+    latex = fmt == "latex"
+
+    def name(lam):
+        if latex:
+            return f"\\langle {''.join(map(str, lam)) or 0}\\rangle"
+        return f"A[{','.join(map(str, lam))}]"
+    return render_terms(coeffs, name, "desc", "" if latex else "*", latex)
 
 
 def render_charpoly(cp: CharPolynomial, fmt: str = "text") -> str:
     if fmt == "json":
         import json
         return json.dumps(cp.to_json(), sort_keys=True)
-    key = term_sort_key("asc")
-    bits = []
-    for nu in sorted(cp.terms, key=key):
-        c = Fraction(cp.terms[nu])
-        sign, mult = _coeff_prefix(c)
-        if not nu:
-            bits.append((sign, mult or "1"))
-            continue
-        factors = []
-        for i in sorted(multiplicities(nu), reverse=True):
-            n_i = multiplicities(nu)[i]
-            if fmt == "latex":
-                factors.append(f"\\binom{{m_{{{i}}}}}{{{n_i}}}")
-            else:
-                factors.append(f"C(m{i},{n_i})")
-        body = ("\\," if fmt == "latex" else "*").join(factors)
-        bits.append((sign, f"{mult}{'*' if mult else ''}{body}"
-                     if fmt != "latex" else f"{mult}{body}"))
-    return _join_terms(bits)
+    latex = fmt == "latex"
+
+    def name(nu):
+        mults = multiplicities(nu)
+        if latex:
+            return "\\,".join(f"\\binom{{m_{{{i}}}}}{{{mults[i]}}}"
+                              for i in sorted(mults, reverse=True))
+        return "*".join(f"C(m{i},{mults[i]})"
+                        for i in sorted(mults, reverse=True))
+    return render_terms(cp.terms, name, "asc", "" if latex else "*", latex)
 
 
 def render_value(value, fmt: str = "text", order: str = "desc") -> str:

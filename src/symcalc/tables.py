@@ -15,13 +15,14 @@ partition prints as 0 (ts0).  Row order is by degree, reverse lexicographic
 within a degree.  Term order varies by section to match the conventional
 presentation: descending degree for the first two sections, ascending degree
 with lexicographic tie-break for the dual sections, plain lexicographic for
-the remaining two.
+the remaining two.  Every row is printed by ``render.render_terms``, with a
+space between a coefficient and its name (2 h11).
 """
 
 from __future__ import annotations
 
 from .partitions import canonical_key, partitions_up_to
-from .render import term_sort_key
+from .render import render_terms
 from .stable import tilde_h, transition
 
 SECTIONS = ("inner-plethysm", "perm-chars", "tilde-s-dual",
@@ -32,20 +33,8 @@ def _pname(lam) -> str:
     return "".join(str(p) for p in lam) if lam else "0"
 
 
-def _fmt_terms(pairs, symbol: str, order: str) -> str:
-    """pairs: iterable of (partition, coefficient); order as term_sort_key."""
-    key = term_sort_key(order)
-    pieces = []
-    for lam, c in sorted(pairs, key=lambda it: key(it[0])):
-        if not c:
-            continue
-        mag = abs(c)
-        body = f"{symbol}{_pname(lam)}" if mag == 1 else f"{mag} {symbol}{_pname(lam)}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(pieces) if pieces else "0"
+def _fmt_terms(terms: dict, symbol: str, order: str) -> str:
+    return render_terms(terms, lambda lam: symbol + _pname(lam), order, " ")
 
 
 def _rows(max_degree: int):
@@ -64,37 +53,37 @@ def render_table(section: str, max_degree: int) -> str:
     if section == "inner-plethysm":
         c = transition("c", max_degree)
         for lam in _rows(max_degree):
-            terms = [(mu, c[lam, mu]) for mu in _rows(sum(lam))
-                     if (lam, mu) in c]
+            terms = {mu: c[lam, mu] for mu in _rows(sum(lam))
+                     if (lam, mu) in c}
             lines.append(f"[h{_pname(lam)}] = "
                          f"<<{_fmt_terms(terms, 'h', 'desc')}>>")
     elif section == "perm-chars":
         for lam in _rows(max_degree):
-            terms = list(tilde_h(lam).in_basis("h").terms.items())
+            terms = tilde_h(lam).in_basis("h").terms
             lines.append(f"<<h{_pname(lam)}>> = "
                          f"[{_fmt_terms(terms, 'h', 'desc')}]")
     elif section == "tilde-s-dual":
         a = transition("a", max_degree)
         for lam in _rows(max_degree - 1):
-            terms = [(mu, v) for (mu, nu), v in a.items() if nu == lam]
+            terms = {mu: v for (mu, nu), v in a.items() if nu == lam}
             lines.append(f"ts{_pname(lam)}* = "
                          f"{_fmt_terms(terms, 's', 'asc')}")
     elif section == "schur-on-tilde-s":
         a = transition("a", max_degree)
         for lam in _rows(max_degree):
-            terms = [(mu, v) for (nu, mu), v in a.items() if nu == lam]
+            terms = {mu: v for (nu, mu), v in a.items() if nu == lam}
             lines.append(f"s{_pname(lam)} = "
                          f"{_fmt_terms(terms, 'ts', 'lex')}")
     elif section == "tilde-h-dual":
         c = transition("c", max_degree)
         for lam in _rows(max_degree - 1):
-            terms = [(mu, v) for (mu, nu), v in c.items() if nu == lam]
+            terms = {mu: v for (mu, nu), v in c.items() if nu == lam}
             lines.append(f"th{_pname(lam)}* = "
                          f"{_fmt_terms(terms, 'm', 'asc')}")
     else:  # h-on-tilde-h
         c = transition("c", max_degree)
         for lam in _rows(max_degree):
-            terms = [(mu, v) for (nu, mu), v in c.items() if nu == lam]
+            terms = {mu: v for (nu, mu), v in c.items() if nu == lam}
             lines.append(f"h{_pname(lam)} = "
                          f"{_fmt_terms(terms, 'th', 'lex')}")
     return "\n".join(lines) + "\n"

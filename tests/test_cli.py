@@ -316,6 +316,8 @@ def test_cache_dir_does_not_leak_into_later_calls(tmp_path, monkeypatch):
      ZeroDivisionError("division by zero")),
     (["charpoly", "--lambda", "2"], "character_polynomial",
      ValueError("bad class value")),
+    (["tables", "--section", "perm-chars", "--max-degree", "3"],
+     "render_table", ArithmeticError("non-integer entry")),
 ])
 def test_library_errors_exit_3_without_traceback(command, target, exc,
                                                  monkeypatch):
@@ -328,3 +330,10 @@ def test_library_errors_exit_3_without_traceback(command, target, exc,
     assert code == 3
     assert err == f"evaluation error: {exc}\n"
     assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["braid", "--n", "0"],
+                                     ["endofunctions", "--n", "0"]])
+def test_nonpositive_n_exits_3(command):
+    assert run_cli(command) == (3, "", "evaluation error: n must be "
+                                       "positive\n")
