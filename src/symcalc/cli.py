@@ -37,6 +37,16 @@ def _partition_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _cap_arg(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symcalc",
@@ -57,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("expression")
     p.add_argument("--basis", choices=("s", "h", "e", "m", "p"), default="s")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_cap_arg, default=None,
                    help="print only the terms of degree at most CAP "
                         "(default: no truncation; a note on stderr says "
                         "when terms were dropped)")
@@ -102,7 +112,7 @@ def _run(args) -> int:
         value = evaluate(ast)
         if isinstance(value, SymExpr):
             value = value.in_basis(args.basis)
-            if args.cap is not None and args.cap >= 0:
+            if args.cap is not None:
                 kept = value.truncate(args.cap)
                 dropped = len(value.terms) - len(kept.terms)
                 if dropped:

@@ -23,7 +23,8 @@ Both are ints for integral f.  Every change of basis goes through them:
 Whole-character operations (internal product, Adams operations, inner
 plethysm) and the Hall pairing are pointwise on the class values.
 Products in the multiplicative bases p, h and e all go through one
-kernel, ``_p_mult_basis``.  Transition data is memoized in memory; the
+kernel, ``_p_mult_basis``.  The MN characters at nu are one memo for all
+lam, ``_mn_column(nu)``.  Transition data is memoized in memory; the
 character tables can also be persisted (see ``symcalc.cache``).
 """
 
@@ -270,45 +271,56 @@ def _p_mult_basis(factors, cap=None, binomial=False) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _beads(lam: tuple) -> int:
+    """The abacus mask of lam: a bead at lam_i + len(lam) - 1 - i."""
+    return sum(1 << (x + len(lam) - 1 - i) for i, x in enumerate(lam))
+
+
+@lru_cache(maxsize=None)
+def _mn_column(mu: tuple) -> dict:
+    """{_beads(lam): chi^lam(mu)} over lam |- |mu|, nonzero values only:
+    by MN, the column of mu[1:] times p_r, r = mu[0].  With r beads added
+    below a mask, each border r-strip moves a bead b to a free b + r, with
+    the sign of the beads between; the min(b, r) low beads left drop out."""
+    if not mu:
+        return {0: 1}
+    r, out = mu[0], {}
+    for mask, v in _mn_column(mu[1:]).items():
+        m = (mask << r) | ((1 << r) - 1)
+        movable = m & ~(m >> r)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            new = (m ^ low ^ (low << r)) >> min(low.bit_length() - 1, r)
+            odd = (m & ((low << r) - (low << 1))).bit_count() & 1
+            out[new] = out.get(new, 0) + (-v if odd else v)
+    return {k: v for k, v in out.items() if v}
+
+
 def char_value(lam: tuple, mu: tuple) -> int:
-    """Murnaghan-Nakayama border-strip recursion via beta numbers."""
-    if not lam:
-        return 1 if not mu else 0
-    if sum(lam) != sum(mu):
+    """chi^lam(mu), read from the MN column of mu; 0 if lam = () != mu."""
+    if lam and sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: {lam} vs {mu}")
-    r, rest = mu[0], mu[1:]
-    ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    bset = set(beta)
-    total = 0
-    for b in beta:
-        if b - r < 0 or (b - r) in bset:
-            continue
-        height = sum(1 for c in beta if b - r < c < b)
-        newbeta = sorted((bset - {b}) | {b - r}, reverse=True)
-        newlam = tuple(x - (ell - 1 - i) for i, x in enumerate(newbeta))
-        newlam = tuple(x for x in newlam if x > 0)
-        total += (-1) ** height * char_value(newlam, rest)
-    return total
+    return _mn_column(mu).get(_beads(lam), 0)
 
 
 def character_table(n: int) -> dict:
     """Full character table of degree n: (lam, mu) -> integer."""
     def compute():
         parts = partitions_of(n)
-        return {(lam, mu): char_value(lam, mu) for lam in parts for mu in parts}
+        cols = [(mu, _mn_column(mu)) for mu in parts]
+        return {(lam, mu): col.get(_beads(lam), 0) for lam in parts
+                for mu, col in cols}
 
     def encode(tab):
         return {f"{_pkey(l)}|{_pkey(m)}": v for (l, m), v in tab.items()}
 
     def decode(payload):
-        out = {}
-        for key, v in payload.items():
-            l, m = key.split("|")
-            out[(_punkey(l), _punkey(m))] = int(v)
-        return out
+        return {tuple(map(_punkey, key.split("|"))): int(v)
+                for key, v in payload.items()}
 
-    return _cache.cached_table("chartable", str(n), compute, encode, decode)
+    return _cache.cached_table("chartableAbacus", str(n), compute, encode,
+                               decode)
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +412,8 @@ def _class_row(basis: str, lam: tuple) -> dict:
     e is h with the omega sign."""
     n = sum(lam)
     if basis == "s":
-        row = ((nu, char_value(lam, nu)) for nu in partitions_of(n))
+        b = _beads(lam)
+        row = ((nu, _mn_column(nu).get(b, 0)) for nu in partitions_of(n))
     elif basis == "m":
         row = ((nu, _p_in_h(nu).get(lam, 0)) for nu in partitions_of(n))
     elif basis == "p":
@@ -448,7 +461,8 @@ def _p_in_basis(target: str, nu: tuple) -> tuple:
     the transpose of the h class rows, [m_lam]p_nu = <p_nu, h_lam>."""
     n = sum(nu)
     if target == "s":
-        col = ((lam, char_value(lam, nu)) for lam in partitions_of(n))
+        mn = _mn_column(nu)
+        col = ((lam, mn.get(_beads(lam), 0)) for lam in partitions_of(n))
     elif target == "m":
         col = ((lam, _class_row("h", lam).get(nu, 0))
                for lam in partitions_of(n))

@@ -337,3 +337,12 @@ def test_library_errors_exit_3_without_traceback(command, target, exc,
 def test_nonpositive_n_exits_3(command):
     assert run_cli(command) == (3, "", "evaluation error: n must be "
                                        "positive\n")
+
+
+@pytest.mark.parametrize("cap", ["-1", "-13", "x"])
+def test_eval_bad_cap_is_a_usage_error(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "s[2] * s[1]", "--cap", cap])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--cap" in err and "Traceback" not in err
