@@ -6,7 +6,8 @@ fixed (they are binomial elements), so the alphabet shift f(X+-1) is the
 plethysm f[p_1 +- 1] and the negation f(-X) is f[-p_1].  Infinite series
 (sigma_1, sigma_1-1, the inverse -L(-X)) are carried as
 ``TruncatedSeries`` with an explicit degree cap that only shrinks under
-arithmetic.
+arithmetic.  The readout ``outer_plethysm`` and the pairing
+``_pleth_pairing`` share one kernel, the class sums of ``_pleth_sums``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeffs import ParamPoly, binomial_series_coeff, coeff_frobenius
-from .symfunc import (SymExpr, _add_scaled, _class_sums, _from_class_sums,
-                      _from_p, _p_mult_basis, _p_weights, _to_p, power)
+from .coeffs import Coeff, ParamPoly, binomial_series_coeff, coeff_frobenius
+from .symfunc import (SymExpr, _add_scaled, _class_sums, _class_values,
+                      _from_class_sums, _from_p, _p_mult_basis, _p_weights,
+                      _pair, _to_p, power)
 
 
 class TruncatedSeries:
@@ -71,11 +73,26 @@ def outer_plethysm(f: SymExpr, g):
     ``g`` may be a SymExpr or a TruncatedSeries; the result carries the
     series cap in the latter case.  Rational constant terms of g pass
     through p_k unchanged (lambda-ring convention for sigma_1 etc.).
+    """
+    sums, big, cap = _pleth_sums(f, g)
+    result = _from_class_sums(sums, f.basis, big)
+    return result if cap is None else TruncatedSeries(result, cap)
 
-    Expansions are class sums N(nu) = |nu|! [p_nu]F, ints for integral F:
-    products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
+
+def _pleth_pairing(h: SymExpr, f: SymExpr, g) -> Coeff:
+    """<h, f o g>, paired on the class sums of f o g with no readout."""
+    sums, big, _ = _pleth_sums(f, g)
+    return _pair(_class_values(h), sums, big)
+
+
+def _pleth_sums(f: SymExpr, g):
+    """(N, L, cap): L times the class sums N(nu) = |nu|! [p_nu](f o g),
+    ints for integral f and g, and the cap of g (None for a SymExpr).
+
+    Products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
     ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, p_alpha[g] is
-    built once per tail of alpha, and each output term is divided once.
+    built once per tail of alpha, and a p_k[g] that the cap leaves
+    constant scales the tail instead of multiplying it.
     """
     if isinstance(g, TruncatedSeries):
         g, cap = g.expr, g.cap
@@ -95,19 +112,21 @@ def outer_plethysm(f: SymExpr, g):
                              * (factorial(k * sum(nu)) // factorial(sum(nu)))
                              for nu, c in gsums.items()
                              if cap is None or k * sum(nu) <= cap}
-            got = tails[alpha] = _p_mult_basis(
-                (powers[k].items(), tail(alpha[1:]).items()), cap,
-                binomial=True)
+            pk, rest = powers[k], tail(alpha[1:])
+            if len(pk) == 1 and () in pk:
+                c = pk[()]
+                got = {nu: v for nu, d in rest.items() if (v := c * d)}
+            else:
+                got = _p_mult_basis((pk.items(), rest.items()), cap,
+                                    binomial=True)
+            tails[alpha] = got
         return got
 
     big, weights = _p_weights(f)
     out: dict = {}
     for alpha, w in weights:
         _add_scaled(out, w, tail(alpha).items())
-    result = _from_class_sums(out, f.basis, big)
-    if cap is not None:
-        return TruncatedSeries(result, cap)
-    return result
+    return out, big, cap
 
 
 def shift_alphabet(f: SymExpr, c: int) -> SymExpr:

@@ -11,22 +11,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .alphabets import (TruncatedSeries, binomial_exp_product, lie_character,
-                        outer_plethysm, sigma_series)
+from .alphabets import (TruncatedSeries, _pleth_pairing, binomial_exp_product,
+                        lie_character, outer_plethysm, sigma_series)
 from .coeffs import Coeff, ParamPoly
 from .partitions import partitions_of, partitions_up_to
 from .stable import StableChar
-from .symfunc import (SymExpr, convert, elem, hall_scalar, homog, mono,
-                      multiply, power, schur)
+from .symfunc import (SymExpr, convert, elem, homog, mono, multiply, power,
+                      schur)
 
 
 def littlewood_pair(f: SymExpr, g: SymExpr, cap: int) -> Coeff:
     """<f, g[sigma_1]>, which equals <f^[sigma_1 h_1], g> by duality.
-    g[sigma_1] is built and paired in the p basis."""
+    g[sigma_1] is paired on class sums."""
     if cap < f.degree():
         raise ValueError("cap must cover the degree of f")
-    return hall_scalar(f, outer_plethysm(convert(g, "p"),
-                                         sigma_series("sigma", 1, cap)).expr)
+    return _pleth_pairing(f, g, sigma_series("sigma", 1, cap))
 
 
 def _pleth_adjoint(f: SymExpr, g, mus) -> SymExpr:
@@ -35,8 +34,7 @@ def _pleth_adjoint(f: SymExpr, g, mus) -> SymExpr:
     (m, h) and (s, s) are dual pairs.  g is truncated at the degree of f,
     all that the pairing with a homogeneous f sees."""
     g = TruncatedSeries(g, f.degree())
-    return SymExpr("h", {mu: hall_scalar(f, outer_plethysm(mono(mu), g).expr)
-                         for mu in mus})
+    return SymExpr("h", {mu: _pleth_pairing(f, mono(mu), g) for mu in mus})
 
 
 def _zero_weight(f: SymExpr, k: int) -> SymExpr:
@@ -101,15 +99,12 @@ def endofunction_signature(n: int) -> ParamPoly:
     count of endofunction patterns on n points; t_j = 1 gives the total."""
     if n < 1:
         raise ValueError("n must be positive")
-    alphabet = _weight_alphabet(n, with_t0=False) + SymExpr(
-        "h", {(): Fraction(1)})
+    alphabet = TruncatedSeries(_weight_alphabet(n, with_t0=False) + SymExpr(
+        "h", {(): Fraction(1)}), n)
     params = tuple(f"t{j}" for j in range(1, n + 1))
     total: Coeff = ParamPoly.const(0, params)
     for lam in partitions_of(n):
-        c = hall_scalar(homog(lam),
-                        outer_plethysm(mono(lam),
-                                       TruncatedSeries(alphabet, n)).expr)
-        total = total + c
+        total = total + _pleth_pairing(homog(lam), mono(lam), alphabet)
     return total
 
 

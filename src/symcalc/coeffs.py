@@ -57,6 +57,17 @@ class ParamPoly:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
+    @classmethod
+    def _make(cls, params: tuple, terms: dict, caps: dict) -> "ParamPoly":
+        """A ParamPoly from terms already in normal form (Fraction
+        coefficients, int exponent tuples of the right length): only zero
+        and over-cap terms are dropped."""
+        p = object.__new__(cls)
+        p.params, p.caps = params, caps
+        p.terms = {e: c for e, c in terms.items()
+                   if c and (not caps or p._within_caps(e))}
+        return p
+
     def _within_caps(self, exps) -> bool:
         for name, e in zip(self.params, exps):
             cap = self.caps.get(name)
@@ -125,13 +136,14 @@ class ParamPoly:
         out = dict(ta)
         for e, c in tb.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return ParamPoly(params, out, caps)
+        return ParamPoly._make(params, out, caps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.params, {e: -c for e, c in self.terms.items()},
-                         self.caps)
+        return ParamPoly._make(self.params,
+                               {e: -c for e, c in self.terms.items()},
+                               self.caps)
 
     def __sub__(self, other):
         o = _coerce(other, self)
@@ -147,9 +159,9 @@ class ParamPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ParamPoly(self.params,
-                             {e: c * other for e, c in self.terms.items()},
-                             self.caps)
+            return ParamPoly._make(self.params,
+                                   {e: c * other for e, c in self.terms.items()},
+                                   self.caps)
         if not isinstance(other, ParamPoly):
             return NotImplemented
         params, (ta, tb), caps = _align_full(self, other)
@@ -158,8 +170,8 @@ class ParamPoly:
             for eb, cb in tb.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = out.get(e, Fraction(0)) + ca * cb
-        # ParamPoly.__init__ drops over-cap terms (truncation semantics)
-        return ParamPoly(params, out, caps)
+        # _make drops over-cap terms (truncation semantics)
+        return ParamPoly._make(params, out, caps)
 
     __rmul__ = __mul__
 
@@ -187,7 +199,7 @@ class ParamPoly:
                 raise TruncationError(
                     f"frobenius({k}) exceeds cap on {self.params}")
             out[ek] = c
-        return ParamPoly(self.params, out, self.caps)
+        return ParamPoly._make(self.params, out, self.caps)
 
     def subs(self, values: dict):
         """Substitute numeric values for (some) parameters."""

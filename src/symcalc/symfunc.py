@@ -21,7 +21,8 @@ Both are ints for integral f.  Every change of basis goes through them:
   per coefficient (``_from_class_sums``).
 
 Whole-character operations (internal product, Adams operations, inner
-plethysm) and the Hall pairing are pointwise on the class values.
+plethysm) are pointwise on the class values; the Hall pairing ``_pair``
+sums class values against class sums, one division per degree.
 Products in the multiplicative bases p, h and e all go through one
 kernel, ``_p_mult_basis``.  The MN characters at nu are one memo for all
 lam, ``_mn_column(nu)``.  Transition data is memoized in memory; the
@@ -254,16 +255,17 @@ def _p_mult_basis(factors, cap=None, binomial=False) -> dict:
     """
     acc = {(): 1}
     for terms in factors:
+        terms = [(mu, sum(mu), d) for mu, d in terms]
         nxt: dict = {}
         for lam, c in acc.items():
             a = sum(lam)
-            for mu, d in terms:
-                key = tuple(sorted(lam + mu, reverse=True)) if lam else mu
-                if cap is not None and sum(key) > cap:
+            for mu, b, d in terms:
+                if cap is not None and a + b > cap:
                     continue
+                key = tuple(sorted(lam + mu, reverse=True)) if lam else mu
                 cd = c * d
                 if binomial and a:
-                    cd = cd * comb(a + sum(mu), a)
+                    cd = cd * comb(a + b, a)
                 prev = nxt.get(key)
                 nxt[key] = cd if prev is None else prev + cd
         acc = {k: v for k, v in nxt.items() if v}
@@ -316,8 +318,9 @@ def character_table(n: int) -> dict:
         return {f"{_pkey(l)}|{_pkey(m)}": v for (l, m), v in tab.items()}
 
     def decode(payload):
-        return {tuple(map(_punkey, key.split("|"))): int(v)
-                for key, v in payload.items()}
+        parts = partitions_of(n)
+        return {(lam, mu): int(payload[f"{_pkey(lam)}|{_pkey(mu)}"])
+                for lam in parts for mu in parts}
 
     return _cache.cached_table("chartableAbacus", str(n), compute, encode,
                                decode)
@@ -505,17 +508,22 @@ def multiply(f: SymExpr, g: SymExpr) -> SymExpr:
                    f.basis)
 
 
-def hall_scalar(f: SymExpr, g: SymExpr) -> Coeff:
-    """Hall scalar product: sum_nu chi_f(nu) chi_g(nu) |C_nu| / n! over
-    the classes of each degree n, with one division per degree."""
-    a, b = _class_values(f), _class_values(g)
+def _pair(chi: dict, sums: dict, scale: int = 1) -> Coeff:
+    """sum_n sum_{nu |- n} chi(nu) sums(nu) / (scale n!): the Hall pairing
+    of class values with class sums, with one division per degree."""
     by_deg: dict = {}
-    for nu, c in a.items():
-        if nu in b:
+    for nu, c in chi.items():
+        s = sums.get(nu)
+        if s:
             n = sum(nu)
-            by_deg[n] = by_deg.get(n, 0) + c * b[nu] * _class_size(nu)
-    return sum((_over(acc, factorial(n)) for n, acc in by_deg.items()),
+            by_deg[n] = by_deg.get(n, 0) + c * s
+    return sum((_over(acc, scale * factorial(n)) for n, acc in by_deg.items()),
                Fraction(0))
+
+
+def hall_scalar(f: SymExpr, g: SymExpr) -> Coeff:
+    """Hall scalar product: chi_f paired with the class sums of g."""
+    return _pair(_class_values(f), _class_sums(g))
 
 
 def internal(f: SymExpr, g: SymExpr) -> SymExpr:

@@ -77,3 +77,20 @@ def test_format():
     p = poly_of({(1, 1): Fraction(3), (0, 0): Fraction(1)})
     assert format_coeff(p) == "3*t1*t2 + 1"
     assert format_coeff(Fraction(-1, 2)) == "-1/2"
+
+
+@given(small_polys, small_polys, st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=1, max_value=3))
+def test_arithmetic_results_are_normal_forms(a, b, n, k):
+    # results built without re-validation equal what the checking
+    # constructor makes of the same data, caps included
+    capped = ParamPoly(a.params, a.terms, {"t1": 3})
+    results = [a + b, -a, a * b, a * n, a * Fraction(n, 2), capped * capped,
+               capped + a, -capped]
+    if all(e[0] * k <= 3 for e in capped.terms):
+        results.append(capped.frobenius(k))
+    for r in results:
+        again = ParamPoly(r.params, r.terms, r.caps)
+        assert (r.params, r.terms, r.caps) == (again.params, again.terms,
+                                                again.caps)
+        assert all(type(c) is Fraction and c for c in r.terms.values())

@@ -100,3 +100,20 @@ def test_old_chartable_file_is_not_read(tmp_path):
     assert table == again == {(lam, mu): _ref_char_value(lam, mu)
                               for lam in parts for mu in parts}
     assert written == [f"chartable-{n}.json", f"chartableAbacus-{n}.json"]
+
+
+def test_character_table_read_back_keeps_partition_order(tmp_path):
+    # the cache writes its payload with sorted keys; the table read back
+    # must still be in partitions_of(n) x partitions_of(n) order
+    n = 5
+    parts = partitions_of(n)
+    set_cache_dir(str(tmp_path))
+    try:
+        computed = character_table(n)
+        read_back = character_table(n)
+    finally:
+        set_cache_dir(None)
+    assert (tmp_path / f"chartableAbacus-{n}.json").exists()
+    assert list(computed) == list(read_back) == [
+        (lam, mu) for lam in parts for mu in parts]
+    assert computed == read_back
