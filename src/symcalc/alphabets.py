@@ -6,8 +6,8 @@ fixed (they are binomial elements), so the alphabet shift f(X+-1) is the
 plethysm f[p_1 +- 1] and the negation f(-X) is f[-p_1].  Infinite series
 (sigma_1, sigma_1-1, the inverse -L(-X)) are carried as
 ``TruncatedSeries`` with an explicit degree cap that only shrinks under
-arithmetic.  The readout ``outer_plethysm`` and the pairing
-``_pleth_pairing`` share one kernel, the class sums of ``_pleth_sums``.
+arithmetic.  The readout ``outer_plethysm``, the pairing ``_pleth_pairing``
+and the tilde rows of ``stable`` share one tail kernel, ``_tails``.
 """
 
 from __future__ import annotations
@@ -87,23 +87,29 @@ def _pleth_pairing(h: SymExpr, f: SymExpr, g) -> Coeff:
 
 def _pleth_sums(f: SymExpr, g):
     """(N, L, cap): L times the class sums N(nu) = |nu|! [p_nu](f o g),
-    ints for integral f and g, and the cap of g (None for a SymExpr).
+    ints for integral f and g, and the cap of g (None for a SymExpr)."""
+    g, cap = (g.expr, g.cap) if isinstance(g, TruncatedSeries) else (g, None)
+    tail = _tails(g, cap)
+    big, weights = _p_weights(f)
+    out: dict = {}
+    for alpha, w in weights:
+        _add_scaled(out, w, tail(alpha).items())
+    return out, big, cap
+
+
+def _tails(g: SymExpr, cap):
+    """alpha -> the class sums of p_alpha[g] up to degree cap (None: all),
+    memoized on the tails of alpha: the one tail kernel of plethysm.
 
     Products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
-    ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, p_alpha[g] is
-    built once per tail of alpha, and a p_k[g] that the cap leaves
-    constant scales the tail instead of multiplying it.
+    ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, and a p_k[g]
+    that the cap leaves constant scales the tail instead of multiplying it.
     """
-    if isinstance(g, TruncatedSeries):
-        g, cap = g.expr, g.cap
-    else:
-        cap = None
     gsums = _class_sums(g)
     powers: dict = {}
     tails: dict = {(): {(): 1}}
 
     def tail(alpha):
-        """p_alpha[g] as class sums, memoized on the tails of alpha."""
         got = tails.get(alpha)
         if got is None:
             k = alpha[0]
@@ -122,11 +128,7 @@ def _pleth_sums(f: SymExpr, g):
             tails[alpha] = got
         return got
 
-    big, weights = _p_weights(f)
-    out: dict = {}
-    for alpha, w in weights:
-        _add_scaled(out, w, tail(alpha).items())
-    return out, big, cap
+    return tail
 
 
 def shift_alphabet(f: SymExpr, c: int) -> SymExpr:
@@ -219,18 +221,15 @@ def lie_character(n: int) -> SymExpr:
 def invert_sigma(cap: int) -> TruncatedSeries:
     """The series M with sigma_1 o M = 1 + p_1 through degree cap.
 
-    Solved degree by degree: the degree-d error of the current iterate
-    feeds back with a minus sign, since (sigma_1-1) o (M + delta) =
-    (sigma_1-1) o M + delta + higher order.
+    In closed form M = sum_k mu(k)/k log(1 + p_k), mu the Moebius function
+    (Moebius inversion of sigma_1 = exp sum_k p_k/k): the term p_k^j has
+    coefficient mu(k) (-1)^(j+1) / (kj), for kj <= cap.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    s = sigma_minus_one(cap)
-    m = TruncatedSeries(power([1]), cap)
-    for d in range(2, cap + 1):
-        err = outer_plethysm(s.expr, m).expr - power([1])
-        m = TruncatedSeries(m.expr - err.homogeneous_component(d), cap)
-    return m
+    return TruncatedSeries(SymExpr("p", {
+        (k,) * j: Fraction(_mobius(k) * (-1) ** (j + 1), k * j)
+        for k in range(1, cap + 1) for j in range(1, cap // k + 1)}), cap)
 
 
 def binomial_exp_product(exponents, cap: int, param: str = "t") -> TruncatedSeries:

@@ -9,29 +9,35 @@ Stable (reduced) Kronecker products, character polynomials, the tilde
 bases s~/h~/x~ with their transition matrices, coproducts and mixed
 products all live here.
 
+A stable character is a character polynomial: sigma_1 f at cycle
+multiplicities m_i is sum_nu chi_f(nu) prod_i C(m_i, n_i(nu)).  So
+``stable_kron`` multiplies on this binomial basis, by
+    C(m, p) C(m, q) = sum_j (p+q-j)! / (j! (p-j)! (q-j)!) C(m, p+q-j).
+
 The tilde layer is one linear map T: h_mu -> h~_mu and its inverse.
-Let H = sigma_1 - 1 and M its plethystic inverse (H o M = p_1).  Since
-h_lam = sum_mu c_lam^mu h~_mu with c_lam^mu = <h_lam, m_mu[H]>, T^-1 is
-the adjoint of g -> g[H], and T the adjoint of g -> g[M]:
-    T(f) = sum_mu <f, m_mu[M]> h_mu,   T^-1(f) = sum_mu <f, m_mu[H]> h_mu.
+Let H = sigma_1 - 1 and M its plethystic inverse (H o M = p_1).  T^-1
+is the adjoint of g -> g[H] and T that of g -> g[M], so on class values
+    chi_{T^-1 f}(rho) = <f, p_rho[H]>,   chi_{T f}(rho) = <f, p_rho[M]>,
+and h_lam = sum_mu c_lam^mu h~_mu with c_lam^mu = <h_lam, m_mu[H]>.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import product
+from math import comb, factorial
 
-from .alphabets import (invert_sigma, outer_plethysm, shift_alphabet,
+from .alphabets import (_tails, invert_sigma, outer_plethysm, shift_alphabet,
                         sigma_minus_one)
 from .cache import cached_table
 from .coeffs import as_fraction
 from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
-                         partitions_up_to, z_value)
-from .symfunc import (SymExpr, _add_scaled, _class_values, _pkey, _punkey,
-                      convert, foulkes_derivative, homog, mono, multiply,
-                      power, schur)
+                         partitions_up_to)
+from .symfunc import (SymExpr, _add_scaled, _class_row, _class_values,
+                      _from_class_values, _pair, _pkey, _punkey, convert,
+                      homog, multiply, schur)
 
 
 class StableChar:
@@ -122,24 +128,28 @@ def evaluate_at_n(sc: StableChar, n: int) -> SymExpr:
 
 
 def stable_kron(a: StableChar, b: StableChar) -> StableChar:
-    """Product of stable characters (pointwise on all S_n at once).
+    """Product of stable characters (pointwise on all S_n at once): the
+    product of their character polynomials, read back in a's basis."""
+    chi: dict = {}
+    yb = _class_values(b.reduced)
+    for nu, x in _class_values(a.reduced).items():
+        for rho, y in yb.items():
+            _add_scaled(chi, x * y, _binomial_product(nu, rho))
+    return StableChar(_from_class_values(chi, a.reduced.basis))
 
-    sigma_1 f * sigma_1 g = sigma_1 sum_alpha (1/z_alpha)
-    D_{p_alpha}(f) D_{p_alpha}(g) p_alpha, a finite sum.
-    """
-    fa, fb = a.reduced, b.reduced
-    cap = min(fa.degree(), fb.degree())
-    total = SymExpr(fa.basis)
-    for alpha in partitions_up_to(cap):
-        da = foulkes_derivative(power(alpha), fa)
-        if not da.terms:
-            continue
-        db = foulkes_derivative(power(alpha), fb)
-        if not db.terms:
-            continue
-        piece = multiply(multiply(da, db), power(alpha))
-        total = total + piece * Fraction(1, z_value(alpha))
-    return StableChar(total)
+
+@lru_cache(maxsize=None)
+def _binomial_product(nu: tuple, rho: tuple) -> tuple:
+    """prod_i C(m_i, n_i(nu)) C(m_i, n_i(rho)) on the binomial basis, as
+    (kappa, int) pairs, one cycle length i at a time."""
+    a, b = multiplicities(nu), multiplicities(rho)
+    out = {(): 1}
+    for i in sorted(set(a) | set(b), reverse=True):
+        p, q = a.get(i, 0), b.get(i, 0)
+        out = {kappa + (i,) * (p + q - j): c * factorial(p + q - j)
+               // (factorial(j) * factorial(p - j) * factorial(q - j))
+               for kappa, c in out.items() for j in range(min(p, q) + 1)}
+    return tuple(out.items())
 
 
 def to_angle_basis(sc: StableChar) -> dict:
@@ -224,30 +234,23 @@ def character_polynomial(lam) -> CharPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the tilde bases
-#
-# Every tilde function is one of the two adjoint maps
-#     T(f) = sum_mu <f, m_mu[M]> h_mu,   T^-1(f) = sum_mu <f, m_mu[H]> h_mu;
-# c_lam^mu = <h_lam, m_mu[H]> is the matrix of T^-1 on the h basis.
+# the tilde bases: every tilde function is T or T^-1
 
 _SERIES = {"H": sigma_minus_one, "M": invert_sigma}
 
 
 @lru_cache(maxsize=None)
 def _pleth_columns(series: str, d: int) -> dict:
-    """Degree-d parts of the columns m_mu[S], |mu| <= d, in the m basis.
-
-    S is H or M.  Stored by row, {lam: {mu: [m_lam] m_mu[S]}} for
-    lam |- d, so row lam holds the pairings <h_lam, m_mu[S]>.
-    """
+    """{lam: {mu: <h_lam, m_mu[S]>}} for lam |- d: row lam is T^-1(h_lam)
+    for S = H and T(h_lam) for S = M, in the h basis, computed by pairing
+    its class values <h_lam, p_rho[S]> on one ``_tails`` of S."""
     def compute():
         s = _SERIES[series](max(d, 1))   # invert_sigma needs cap >= 1
-        rows: dict = {lam: {} for lam in partitions_of(d)}
-        for mu in partitions_up_to(d):
-            col = outer_plethysm(mono(mu), s).expr.homogeneous_component(d)
-            for lam, c in col.terms.items():
-                rows[lam][mu] = c
-        return rows
+        tail = _tails(s.expr, s.cap)
+        return {lam: _from_class_values(
+                    {rho: _pair(_class_row("h", lam), tail(rho))
+                     for rho in partitions_up_to(d)}, "h").terms
+                for lam in partitions_of(d)}
 
     def encode(rows):
         return {_pkey(lam): {_pkey(mu): str(c) for mu, c in row.items()}
@@ -334,17 +337,7 @@ def vector_partition_count(lam, mu) -> int:
         return 1 if not mu else 0
     k = len(lam)
 
-    vectors = []
-
-    def gen(i, prefix):
-        if i == k:
-            if any(prefix):
-                vectors.append(prefix)
-            return
-        for v in range(lam[i] + 1):
-            gen(i + 1, prefix + (v,))
-
-    gen(0, ())
+    vectors = [v for v in product(*(range(x + 1) for x in lam)) if any(v)]
 
     @lru_cache(maxsize=None)
     def count(idx: int, rest: tuple, parts: tuple) -> int:

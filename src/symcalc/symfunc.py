@@ -327,29 +327,6 @@ def character_table(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _p_in_m_count(lam: tuple, mu: tuple) -> int:
-    """Coefficient of m_mu in p_lam: assignments of parts of lam to the
-    columns of mu with prescribed column sums.
-
-    Not on the conversion path (that is Hall duality with h); kept as the
-    independent count the duality tables are tested against."""
-    ell = len(mu)
-
-    @lru_cache(maxsize=None)
-    def rec(i: int, remaining: tuple) -> int:
-        if i == len(lam):
-            return 1 if not any(remaining) else 0
-        total = 0
-        for j in range(ell):
-            if remaining[j] >= lam[i]:
-                nxt = remaining[:j] + (remaining[j] - lam[i],) + remaining[j + 1:]
-                total += rec(i + 1, nxt)
-        return total
-
-    return rec(0, mu)
-
-
-@lru_cache(maxsize=None)
 def _pk_in_h(k: int):
     """h-expansion of p_k via Newton: p_k = k h_k - sum_{i<k} h_{k-i} p_i."""
     acc = {(k,): k}
@@ -366,11 +343,6 @@ def _p_in_h(nu: tuple) -> dict:
     if not nu:
         return {(): 1}
     return _p_mult_basis((_pk_in_h(nu[0]), _p_in_h(nu[1:]).items()))
-
-
-def _m_in_p(lam: tuple):
-    """m_lam in p, as (nu, [p_nu]m_lam) pairs."""
-    return tuple(_to_p(SymExpr("m", {lam: 1})).items())
 
 
 def _omega_sign(nu: tuple) -> int:

@@ -12,35 +12,45 @@ Six sections, each a text table with one line per partition row:
 
 Partitions are printed with concatenated parts (h21 for h_{2,1}); the empty
 partition prints as 0 (ts0).  Row order is by degree, reverse lexicographic
-within a degree.  Term order varies by section to match the conventional
-presentation: descending degree for the first two sections, ascending degree
-with lexicographic tie-break for the dual sections, plain lexicographic for
-the remaining two.  Every row is printed by ``render.render_terms``, with a
-space between a coefficient and its name (2 h11).
+within a degree.  One layout, ``_LAYOUT``, drives all six sections: per
+section, a matrix keyed (lam, mu), whether a line reads a row or a column of
+it, the line format, the term name and the term order (descending degree,
+ascending degree, or lexicographic; see ``render.term_sort_key``).  Every
+line is printed by ``render.render_terms``, with a space between a
+coefficient and its name (2 h11).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .partitions import canonical_key, partitions_up_to
 from .render import render_terms
 from .stable import tilde_h, transition
 
-SECTIONS = ("inner-plethysm", "perm-chars", "tilde-s-dual",
-            "schur-on-tilde-s", "tilde-h-dual", "h-on-tilde-h")
+_C, _A = partial(transition, "c"), partial(transition, "a")
 
 
 def _pname(lam) -> str:
     return "".join(str(p) for p in lam) if lam else "0"
 
 
-def _fmt_terms(terms: dict, symbol: str, order: str) -> str:
-    return render_terms(terms, lambda lam: symbol + _pname(lam), order, " ")
+def _perm_chars(max_degree: int) -> dict:
+    """{(lam, mu): [h_mu] h~_lam}, the inverse of transition("c")."""
+    return {(lam, mu): c for lam in filter(None, partitions_up_to(max_degree))
+            for mu, c in tilde_h(lam).terms.items()}
 
 
-def _rows(max_degree: int):
-    out = [lam for lam in partitions_up_to(max_degree) if lam]
-    out.sort(key=canonical_key)
-    return out
+# section: (matrix, by column, line format, term name, term order)
+_LAYOUT = {
+    "inner-plethysm": (_C, False, "[h{}] = <<{}>>", "h", "desc"),
+    "perm-chars": (_perm_chars, False, "<<h{}>> = [{}]", "h", "desc"),
+    "tilde-s-dual": (_A, True, "ts{}* = {}", "s", "asc"),
+    "schur-on-tilde-s": (_A, False, "s{} = {}", "ts", "lex"),
+    "tilde-h-dual": (_C, True, "th{}* = {}", "m", "asc"),
+    "h-on-tilde-h": (_C, False, "h{} = {}", "th", "lex"),
+}
+SECTIONS = tuple(_LAYOUT)
 
 
 def render_table(section: str, max_degree: int) -> str:
@@ -49,41 +59,16 @@ def render_table(section: str, max_degree: int) -> str:
                          + ", ".join(SECTIONS))
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    lines = []
-    if section == "inner-plethysm":
-        c = transition("c", max_degree)
-        for lam in _rows(max_degree):
-            terms = {mu: c[lam, mu] for mu in _rows(sum(lam))
-                     if (lam, mu) in c}
-            lines.append(f"[h{_pname(lam)}] = "
-                         f"<<{_fmt_terms(terms, 'h', 'desc')}>>")
-    elif section == "perm-chars":
-        for lam in _rows(max_degree):
-            terms = tilde_h(lam).in_basis("h").terms
-            lines.append(f"<<h{_pname(lam)}>> = "
-                         f"[{_fmt_terms(terms, 'h', 'desc')}]")
-    elif section == "tilde-s-dual":
-        a = transition("a", max_degree)
-        for lam in _rows(max_degree - 1):
-            terms = {mu: v for (mu, nu), v in a.items() if nu == lam}
-            lines.append(f"ts{_pname(lam)}* = "
-                         f"{_fmt_terms(terms, 's', 'asc')}")
-    elif section == "schur-on-tilde-s":
-        a = transition("a", max_degree)
-        for lam in _rows(max_degree):
-            terms = {mu: v for (nu, mu), v in a.items() if nu == lam}
-            lines.append(f"s{_pname(lam)} = "
-                         f"{_fmt_terms(terms, 'ts', 'lex')}")
-    elif section == "tilde-h-dual":
-        c = transition("c", max_degree)
-        for lam in _rows(max_degree - 1):
-            terms = {mu: v for (mu, nu), v in c.items() if nu == lam}
-            lines.append(f"th{_pname(lam)}* = "
-                         f"{_fmt_terms(terms, 'm', 'asc')}")
-    else:  # h-on-tilde-h
-        c = transition("c", max_degree)
-        for lam in _rows(max_degree):
-            terms = {mu: v for (nu, mu), v in c.items() if nu == lam}
-            lines.append(f"h{_pname(lam)} = "
-                         f"{_fmt_terms(terms, 'th', 'lex')}")
-    return "\n".join(lines) + "\n"
+    matrix, by_column, line, symbol, order = _LAYOUT[section]
+    rows: dict = {}
+    for (lam, mu), c in matrix(max_degree).items():
+        if by_column:
+            lam, mu = mu, lam
+        rows.setdefault(lam, {})[mu] = c
+    # a column has entries at its own degree and above, so the dual
+    # sections stop one degree below max_degree
+    names = sorted(filter(None, partitions_up_to(max_degree - by_column)),
+                   key=canonical_key)
+    return "\n".join(line.format(_pname(lam), render_terms(
+        rows.get(lam, {}), lambda mu: symbol + _pname(mu), order, " "))
+        for lam in names) + "\n"

@@ -240,18 +240,19 @@ def test_criterion_11_oracle_equivalence():
     # LR coefficients vs tableau enumeration
     from test_symfunc import _schur_expand, _ssyt_poly
     for n in range(2, 7):
-        for lam in partitions_of(n):
-            for k in range(1, n):
-                for mu in partitions_of(k):
-                    a = _ssyt_poly(mu, n)
-                    for nu in partitions_of(n - k):
-                        b = _ssyt_poly(nu, n)
-                        prod = {}
-                        for e1, c1 in a.items():
-                            for e2, c2 in b.items():
-                                key = tuple(x + y for x, y in zip(e1, e2))
-                                prod[key] = prod.get(key, 0) + c1 * c2
-                        assert _schur_expand(prod, n).get(lam, 0) == \
+        for k in range(1, n):
+            for mu in partitions_of(k):
+                a = _ssyt_poly(mu, n)
+                for nu in partitions_of(n - k):
+                    b = _ssyt_poly(nu, n)
+                    prod = {}
+                    for e1, c1 in a.items():
+                        for e2, c2 in b.items():
+                            key = tuple(x + y for x, y in zip(e1, e2))
+                            prod[key] = prod.get(key, 0) + c1 * c2
+                    expanded = _schur_expand(prod, n)
+                    for lam in partitions_of(n):
+                        assert expanded.get(lam, 0) == \
                             lr_coefficient(mu, nu, lam), (mu, nu, lam)
     _report(11, "oracle equivalences (reduced Kronecker, c-matrix, MN, LR)")
 

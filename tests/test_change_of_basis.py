@@ -21,10 +21,9 @@ from symcalc.alphabets import (TruncatedSeries, scale_alphabet,
 from symcalc.coeffs import ParamPoly
 from symcalc.partitions import (canonical_key, partitions_of,
                                 partitions_up_to, z_value)
-from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _p_in_m_count,
-                             _p_mult_basis, char_value, convert, elem,
-                             foulkes_derivative, homog, mono, multiply,
-                             omega, power, schur)
+from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _p_mult_basis,
+                             char_value, convert, elem, foulkes_derivative,
+                             homog, mono, multiply, omega, power, schur)
 
 MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
 T = ParamPoly.var("t")
@@ -234,6 +233,29 @@ def test_truncated_series_product_matches_fraction_routes():
 
 
 # -- MN against Kostka inversion, off the conversion path ----------------
+
+
+@lru_cache(maxsize=None)
+def _p_in_m_count(lam: tuple, mu: tuple) -> int:
+    """Coefficient of m_mu in p_lam: assignments of parts of lam to the
+    columns of mu with prescribed column sums.
+
+    Not on the conversion path (that is Hall duality with h); kept as the
+    independent count the duality tables are tested against."""
+    ell = len(mu)
+
+    @lru_cache(maxsize=None)
+    def rec(i: int, remaining: tuple) -> int:
+        if i == len(lam):
+            return 1 if not any(remaining) else 0
+        total = 0
+        for j in range(ell):
+            if remaining[j] >= lam[i]:
+                nxt = remaining[:j] + (remaining[j] - lam[i],) + remaining[j + 1:]
+                total += rec(i + 1, nxt)
+        return total
+
+    return rec(0, mu)
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from symcalc.partitions import (conjugate, partitions_of, partitions_up_to,
                                 z_value)
-from symcalc.symfunc import (SymExpr, elem, foulkes_derivative, hall_scalar,
-                             homog, internal, lr_coefficient, mn_character,
-                             mono, multiply, omega, power, schur, skew_schur)
+from symcalc.symfunc import (SymExpr, _to_p, elem, foulkes_derivative,
+                             hall_scalar, homog, internal, lr_coefficient,
+                             mn_character, mono, multiply, omega, power,
+                             schur, skew_schur)
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -110,6 +111,11 @@ def _p_coeff_of_h(mu, nu):
     return homog(mu).in_basis("p").coefficient(nu) * z_value(nu)
 
 
+def _m_in_p(lam: tuple):
+    """m_lam in p, as (nu, [p_nu]m_lam) pairs."""
+    return tuple(_to_p(SymExpr("m", {lam: 1})).items())
+
+
 def _ssyt_poly(lam, nvars):
     """Schur polynomial in nvars variables as {exponent vector: count},
     by direct enumeration of semistandard tableaux."""
@@ -163,18 +169,18 @@ def _schur_expand(poly, nvars):
 
 def test_lr_vs_tableau_enumeration():
     for n in range(1, 7):
-        for lam in partitions_of(n):
-            for k in range(1, n):
-                for mu in partitions_of(k):
-                    a = _ssyt_poly(mu, n)
-                    for nu in partitions_of(n - k):
-                        b = _ssyt_poly(nu, n)
-                        prod = {}
-                        for e1, c1 in a.items():
-                            for e2, c2 in b.items():
-                                key = tuple(x + y for x, y in zip(e1, e2))
-                                prod[key] = prod.get(key, 0) + c1 * c2
-                        expanded = _schur_expand(prod, n)
+        for k in range(1, n):
+            for mu in partitions_of(k):
+                a = _ssyt_poly(mu, n)
+                for nu in partitions_of(n - k):
+                    b = _ssyt_poly(nu, n)
+                    prod = {}
+                    for e1, c1 in a.items():
+                        for e2, c2 in b.items():
+                            key = tuple(x + y for x, y in zip(e1, e2))
+                            prod[key] = prod.get(key, 0) + c1 * c2
+                    expanded = _schur_expand(prod, n)
+                    for lam in partitions_of(n):
                         assert expanded.get(lam, 0) == \
                             lr_coefficient(mu, nu, lam), (mu, nu, lam)
 
@@ -203,7 +209,7 @@ def test_json_roundtrip():
 def test_m_to_p_rows_invert_monomial_counts():
     # Hall-duality rows of m -> p times the combinatorial p -> m count
     # give the identity at every degree up to 10
-    from symcalc.symfunc import _m_in_p, _p_in_m_count
+    from test_change_of_basis import _p_in_m_count
     for n in range(11):
         parts = partitions_of(n)
         for lam in parts:
@@ -233,7 +239,7 @@ def test_power_sum_h_roundtrip():
 
 def test_p_to_m_rows_match_monomial_counts():
     # p -> m by Hall duality with h agrees with counting monomials of p_nu
-    from symcalc.symfunc import _p_in_m_count
+    from test_change_of_basis import _p_in_m_count
     for n in range(11):
         parts = partitions_of(n)
         for nu in parts:
