@@ -7,7 +7,9 @@ plethysm f[p_1 +- 1] and the negation f(-X) is f[-p_1].  Infinite series
 (sigma_1, sigma_1-1, the inverse -L(-X)) are carried as
 ``TruncatedSeries`` with an explicit degree cap that only shrinks under
 arithmetic.  The readout ``outer_plethysm``, the pairing ``_pleth_pairing``
-and the tilde rows of ``stable`` share one tail kernel, ``_tails``.
+and the tilde rows of ``stable`` share one tail kernel, ``_tails``.  The
+first two reuse the trees of the last 8 exact (g, cap) through
+``_shared_tails``; the tilde rows, each tree used once, bypass it.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ def _pleth_sums(f: SymExpr, g):
     """(N, L, cap): L times the class sums N(nu) = |nu|! [p_nu](f o g),
     ints for integral f and g, and the cap of g (None for a SymExpr)."""
     g, cap = (g.expr, g.cap) if isinstance(g, TruncatedSeries) else (g, None)
-    tail = _tails(g, cap)
+    tail = _shared_tails(g.basis, tuple((lam, c, _exact(c))
+                                         for lam, c in g.terms.items()), cap)
     big, weights = _p_weights(f)
     out: dict = {}
     for alpha, w in weights:
@@ -97,9 +100,28 @@ def _pleth_sums(f: SymExpr, g):
     return out, big, cap
 
 
+def _exact(c):
+    """Tells equal coefficients apart: type, ParamPoly params/terms/caps."""
+    if isinstance(c, ParamPoly):
+        return (c.params, tuple(c.terms.items()), tuple(c.caps.items()))
+    return type(c)
+
+
+@lru_cache(maxsize=8)
+def _shared_tails(basis: str, terms: tuple, cap):
+    return _tails(SymExpr(basis, {lam: c for lam, c, _ in terms}), cap)
+
+
 def _tails(g: SymExpr, cap):
     """alpha -> the class sums of p_alpha[g] up to degree cap (None: all),
     memoized on the tails of alpha: the one tail kernel of plethysm.
+
+    ``_pleth_sums`` shares trees through ``_shared_tails`` (lru_cache, 8
+    trees), keyed by g's basis, its ordered (lam, c, ``_exact(c)``) and the
+    cap: term order and coefficient types of g show in the results.  The
+    tilde rows (``stable._pleth_columns``) use each tree once and at degree
+    14 are the largest objects in the process, so they bypass it.  A
+    returned tail dict is only read.
 
     Products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
     ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, and a p_k[g]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Union
 
@@ -243,10 +244,17 @@ def _coerce(x, like: ParamPoly):
     return NotImplemented
 
 
+@lru_cache(maxsize=None)
+def _union(pa: tuple, pb: tuple) -> tuple:
+    return tuple(sorted(set(pa) | set(pb), key=_param_key))
+
+
 def _align(a: ParamPoly, b: ParamPoly):
-    params = tuple(sorted(set(a.params) | set(b.params), key=_param_key))
+    params = _union(a.params, b.params)
 
     def remap(p: ParamPoly):
+        if p.params == params:   # read only: __add__ copies, __mul__ reads
+            return p.terms
         idx = [p.params.index(q) if q in p.params else None for q in params]
         return {tuple(e[i] if i is not None else 0 for i in idx): c
                 for e, c in p.terms.items()}

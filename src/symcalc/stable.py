@@ -35,9 +35,9 @@ from .coeffs import as_fraction
 from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
                          partitions_up_to)
-from .symfunc import (SymExpr, _add_scaled, _class_row, _class_values,
-                      _from_class_values, _pair, _pkey, _punkey, convert,
-                      homog, multiply, schur)
+from .symfunc import (SymExpr, _add_scaled, _as_int, _class_row,
+                      _class_values, _from_class_values, _pair, _pkey,
+                      _punkey, convert, homog, multiply, schur)
 
 
 class StableChar:
@@ -267,8 +267,9 @@ def _pleth_columns(series: str, d: int) -> dict:
 def _adjoint(f: SymExpr, series: str) -> SymExpr:
     """sum_mu <f, m_mu[S]> h_mu: T(f) for S = M, T^-1(f) for S = H."""
     out: dict = {}
-    for lam, a in convert(f, "h").terms.items():
-        _add_scaled(out, a, _pleth_columns(series, sum(lam))[lam].items())
+    for lam, a in convert(f, "h").terms.items():   # int rows, summed as ints
+        row = _pleth_columns(series, sum(lam))[lam].items()
+        _add_scaled(out, _as_int(a), ((mu, _as_int(c)) for mu, c in row))
     return SymExpr("h", out)
 
 
