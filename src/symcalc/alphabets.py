@@ -6,10 +6,13 @@ fixed (they are binomial elements), so the alphabet shift f(X+-1) is the
 plethysm f[p_1 +- 1] and the negation f(-X) is f[-p_1].  Infinite series
 (sigma_1, sigma_1-1, the inverse -L(-X)) are carried as
 ``TruncatedSeries`` with an explicit degree cap that only shrinks under
-arithmetic.  The readout ``outer_plethysm``, the pairing ``_pleth_pairing``
-and the tilde rows of ``stable`` share one tail kernel, ``_tails``.  The
-first two reuse the trees of the last 8 exact (g, cap) through
-``_shared_tails``; the tilde rows, each tree used once, bypass it.
+arithmetic; their product is the class-sum product ``multiply`` cut at
+the smaller cap, and ``scale_alphabet`` scales each class sum N(nu) by
+the q-factor of nu.  The readout ``outer_plethysm``, the pairing
+``_pleth_pairing`` and the tilde rows of ``stable`` share one tail
+kernel, ``_tails``.  The first two reuse the trees of the last 8 exact
+(g, cap) through ``_shared_tails``; the tilde rows, each tree used once,
+bypass it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from math import factorial
 
 from .coeffs import Coeff, ParamPoly, binomial_series_coeff, coeff_frobenius
 from .symfunc import (SymExpr, _add_scaled, _class_sums, _class_values,
-                      _from_class_sums, _from_p, _p_mult_basis, _p_weights,
-                      _pair, _to_p, power)
+                      _from_class_sums, _p_mult_basis, _p_weights, _pair,
+                      multiply, power)
 
 
 class TruncatedSeries:
@@ -53,9 +56,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             cap = min(self.cap, other.cap)
-            prod = _p_mult_basis((_to_p(self.expr).items(),
-                                  _to_p(other.expr).items()), cap)
-            return TruncatedSeries(_from_p(prod, self.expr.basis), cap)
+            return TruncatedSeries(multiply(self.expr, other.expr, cap), cap)
         return TruncatedSeries(self.expr * other, self.cap)
 
     __rmul__ = __mul__
@@ -165,15 +166,15 @@ def scale_alphabet(f: SymExpr, mode: str, qcap: int, param: str = "q") -> SymExp
     """f[(1-q)X] or f[X/(1-q)], truncated at q-degree qcap.
 
     p_k picks up the factor (1-q^k), resp. its truncated geometric
-    inverse 1 + q^k + q^{2k} + ...
+    inverse 1 + q^k + q^{2k} + ..., so the class sum at nu is scaled by
+    the product of the factors of its parts.
     """
     if qcap < 0:
         raise ValueError("qcap must be nonnegative")
     if mode not in ("(1-q)X", "X/(1-q)"):
         raise ValueError(f"unknown mode {mode!r}")
-    fp = _to_p(f)
     out: dict = {}
-    for nu, coef in fp.items():
+    for nu, c in _class_sums(f).items():
         factor = ParamPoly.const(1, (param,), {param: qcap})
         for k in nu:
             if mode == "(1-q)X":
@@ -183,11 +184,8 @@ def scale_alphabet(f: SymExpr, mode: str, qcap: int, param: str = "q") -> SymExp
                                {(j,): 1 for j in range(0, qcap + 1, k)},
                                {param: qcap})
             factor = factor * fk
-        c = coef * factor
-        prev = out.get(nu)
-        out[nu] = c if prev is None else prev + c
-    return _from_p({k: v for k, v in out.items() if v},
-                   f.basis)
+        out[nu] = c * factor
+    return _from_class_sums(out, f.basis)
 
 
 def sigma_series(kind: str = "sigma", sign: int = 1, cap: int = 6) -> TruncatedSeries:

@@ -145,7 +145,7 @@ def braid_poincare(n: int) -> list:
     return out
 
 
-def stable_cohomology(i: int, cap: int = 0) -> StableChar:
+def stable_cohomology(i: int) -> StableChar:
     """The stable character of H^i(P_n; C) for all n at once.
 
     Coefficient of t^i in prod_{k>=2} sum_j (-1)^j t^{j(k-1)}
@@ -156,7 +156,7 @@ def stable_cohomology(i: int, cap: int = 0) -> StableChar:
         raise ValueError("i must be nonnegative")
     if i == 0:
         return StableChar(SymExpr("h", {(): Fraction(1)}))
-    xcap = max(cap, 2 * i)
+    xcap = 2 * i
     one = ParamPoly.const(1, ("t",), {"t": i})
     acc = SymExpr("p", {(): one})
     for k in range(2, i + 2):
@@ -169,7 +169,7 @@ def stable_cohomology(i: int, cap: int = 0) -> StableChar:
                                {"t": i})
             factor = factor + convert(ej, "p") * marker
             j += 1
-        acc = multiply(acc, factor).truncate(xcap)
+        acc = multiply(acc, factor, xcap)
     reduced = SymExpr("s")
     for lam, c in convert(acc, "s").terms.items():
         if isinstance(c, ParamPoly):

@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduced-kron", help="reduced Kronecker coefficients")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--mu", type=_partition_arg, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
 
     p = sub.add_parser("charpoly", help="character polynomial of a stable "
                                         "Schur character")

@@ -37,7 +37,7 @@ from .partitions import (canonical_key, horizontal_strip_supershapes,
                          partitions_up_to)
 from .symfunc import (SymExpr, _add_scaled, _as_int, _class_row,
                       _class_values, _from_class_values, _pair, _pkey,
-                      _punkey, convert, homog, multiply, schur)
+                      _punkey, convert, foulkes_derivative, homog, schur)
 
 
 class StableChar:
@@ -185,11 +185,14 @@ def reduced_kron(lam, mu) -> dict:
 class CharPolynomial:
     """A polynomial in cycle multiplicities m_1, m_2, ... stored on the
     binomial basis prod_i C(m_i, n_i): terms map a partition nu (whose
-    multiplicities are the n_i) to an integer coefficient."""
+    multiplicities are the n_i) to an integer coefficient; a
+    non-integral one is an error."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
+        if any(c != int(c) for c in terms.values()):
+            raise ArithmeticError(f"non-integer character polynomial: {terms}")
         self.terms = {partition(nu): int(c) for nu, c in terms.items() if c}
 
     def __eq__(self, other):
@@ -227,10 +230,7 @@ def character_polynomial(lam) -> CharPolynomial:
     Coefficient of prod C(m_i, n_i(nu)) is the character value
     <s_lam(X-1), p_nu> = z_nu [p_nu] s_lam(X-1); these are integers.
     """
-    terms = _class_values(shift_alphabet(schur(lam), -1))
-    if not all(isinstance(c, int) for c in terms.values()):
-        raise ArithmeticError(f"non-integer character polynomial: {terms}")
-    return CharPolynomial(terms)
+    return CharPolynomial(_class_values(shift_alphabet(schur(lam), -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +365,12 @@ def stable_coproduct_tilde_s(lam) -> dict:
 
     f^{mu nu}_lam = sum of c^alpha_{mu nu} over alpha with lam/alpha a
     horizontal strip = <s_mu s_nu, s_lam[X+1]>, by the Pieri identity
-    s_lam[X+1] = sum_alpha s_alpha.
+    s_lam[X+1] = sum_alpha s_alpha: the coefficient of s_nu in the skew
+    D_{s_mu} s_lam[X+1], one per mu.
     """
-    strips = convert(shift_alphabet(schur(partition(lam)), 1), "s").terms
-    out: dict = {}
-    for n in sorted({sum(alpha) for alpha in strips}):
-        for j in range(n + 1):
-            for mu in partitions_of(j):
-                for nu in partitions_of(n - j):
-                    prod = multiply(schur(mu), schur(nu)).terms
-                    c = sum(prod[alpha] * strips[alpha]
-                            for alpha in prod if alpha in strips)
-                    if c:
-                        out[(mu, nu)] = int(c)
-    return out
+    strips = convert(shift_alphabet(schur(partition(lam)), 1), "s")
+    return {(mu, nu): int(c) for mu in partitions_up_to(strips.degree())
+            for nu, c in foulkes_derivative(schur(mu), strips).terms.items()}
 
 
 def mixed_product(lam, mu) -> dict:

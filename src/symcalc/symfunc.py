@@ -22,11 +22,14 @@ Both are ints for integral f.  Every change of basis goes through them:
 
 Whole-character operations (internal product, Adams operations, inner
 plethysm) are pointwise on the class values; the Hall pairing ``_pair``
-sums class values against class sums, one division per degree.
-Products in the multiplicative bases p, h and e all go through one
-kernel, ``_p_mult_basis``.  The MN characters at nu are one memo for all
-lam, ``_mn_column(nu)``.  Transition data is memoized in memory; the
-character tables can also be persisted (see ``symcalc.cache``).
+sums class values against class sums, one division per degree.  Class
+sums are the one internal form: a product weighs N_f(lam) N_g(mu) at
+lam u mu by C(|lam|+|mu|, |lam|), omega is the sign (-1)^(|nu|-len(nu))
+on N(nu), and the skew is chi_{D_f g}(beta) = <g, f p_beta> =
+sum_a [p_a]f chi_g(a u beta).  One kernel, ``_p_mult_basis``, makes the
+products of class sums and in the bases p, h and e.  The MN characters
+at nu are one memo for all lam, ``_mn_column(nu)``.  Transition data is
+memoized; character tables can also be persisted (``symcalc.cache``).
 """
 
 from __future__ import annotations
@@ -149,11 +152,9 @@ class SymExpr:
             other = _coerce(other, self.basis)
         if not isinstance(other, SymExpr):
             return NotImplemented
-        a = self.terms if other.basis == self.basis else _to_p(self)
-        b = other.terms if other.basis == self.basis else _to_p(other)
-        if set(a) != set(b):
-            return False
-        return all(a[k] == b[k] for k in a)
+        if other.basis == self.basis:
+            return self.terms == other.terms
+        return _class_values(self) == _class_values(other)
 
     def __hash__(self):
         raise TypeError("SymExpr is unhashable")
@@ -353,20 +354,6 @@ def _omega_sign(nu: tuple) -> int:
 # -- basis conversion ---------------------------------------------------
 
 
-def _to_p(expr: SymExpr) -> dict:
-    """Expansion of expr in the p basis: [p_nu]f = chi_f(nu) / z_nu."""
-    if expr.basis == "p":
-        return dict(expr.terms)
-    return {nu: _over(c, z_value(nu)) for nu, c in _class_values(expr).items()}
-
-
-def _from_p(pterms: dict, target: str) -> SymExpr:
-    """sum_nu pterms(nu) p_nu in ``target``: the readout of the class sums
-    |nu|! pterms(nu)."""
-    return _from_class_sums({nu: c * factorial(sum(nu))
-                             for nu, c in pterms.items()}, target)
-
-
 def convert(f: SymExpr, target: str) -> SymExpr:
     return f.in_basis(target)
 
@@ -474,10 +461,11 @@ def _from_class_values(chi: dict, target: str, scale: int = 1) -> SymExpr:
 # -- products and pairings ----------------------------------------------
 
 
-def multiply(f: SymExpr, g: SymExpr) -> SymExpr:
-    """Outer product, returned in the basis of f."""
-    return _from_p(_p_mult_basis((_to_p(f).items(), _to_p(g).items())),
-                   f.basis)
+def multiply(f: SymExpr, g: SymExpr, cap=None) -> SymExpr:
+    """Outer product, returned in the basis of f, without the terms above
+    degree cap: the binomial product of the class sums."""
+    sums = (_class_sums(f).items(), _class_sums(g).items())
+    return _from_class_sums(_p_mult_basis(sums, cap, binomial=True), f.basis)
 
 
 def _pair(chi: dict, sums: dict, scale: int = 1) -> Coeff:
@@ -506,32 +494,29 @@ def internal(f: SymExpr, g: SymExpr) -> SymExpr:
 
 
 def foulkes_derivative(f: SymExpr, g: SymExpr) -> SymExpr:
-    """D_f g, the adjoint of multiplication by f."""
-    a, b = _to_p(f), _to_p(g)
+    """D_f g, the adjoint of multiplication by f, on class values: the int
+    weights L [p_a]f of ``_p_weights`` times chi_g(a u beta), over L."""
+    big, weights = _p_weights(f)
+    chi = _class_values(g)
     out: dict = {}
-    for alpha, c in a.items():
-        for nu, d in b.items():
-            coef = c * d
+    for alpha, w in weights:
+        for nu, c in chi.items():
             rest = list(nu)
-            ok = True
             for k in alpha:
                 if k not in rest:
-                    ok = False
                     break
-                coef = coef * (k * rest.count(k))
                 rest.remove(k)
-            if ok:
-                key = tuple(rest)
-                prev = out.get(key)
-                out[key] = coef if prev is None else prev + coef
-    return _from_p({k: v for k, v in out.items() if v}, g.basis)
+            else:
+                beta = tuple(rest)
+                out[beta] = out.get(beta, 0) + w * c
+    return _from_class_values(out, g.basis, big)
 
 
 def omega(f: SymExpr) -> SymExpr:
-    """The involution exchanging h and e (sign on power sums)."""
-    p = _to_p(f)
-    return _from_p({nu: _omega_sign(nu) * c for nu, c in p.items()},
-                   f.basis)
+    """The involution exchanging h and e: the sign (-1)^(|nu| - len(nu))
+    on the class sums."""
+    return _from_class_sums({nu: _omega_sign(nu) * c
+                             for nu, c in _class_sums(f).items()}, f.basis)
 
 
 # -- characters and Littlewood-Richardson --------------------------------

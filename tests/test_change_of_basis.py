@@ -1,27 +1,33 @@
-"""Change of basis through the one integer readout, against the Fraction
-routes it replaced, and an MN oracle off the conversion path.
+"""Change of basis through the one integer readout, and the products,
+skewing, omega and the alphabet transforms as class-sum maps, against the
+Fraction routes they replaced, and an MN oracle off the conversion path.
 
-The ``_ref_*`` functions are the earlier conversion code: ``_ref_to_p``
-expands h by Newton's identity n h_n = sum_k p_k h_{n-k}, e by omega, s
-by MN characters over z_nu and m by Hall duality with h; ``_ref_from_p``
-has the three Fraction branches (Newton for h and e, the duality table
-for m, a per-lambda MN sum for s).  Results are compared term for term,
-coefficient types and JSON form included.
+The ``_ref_*`` functions are the earlier code: ``_ref_to_p`` expands h by
+Newton's identity n h_n = sum_k p_k h_{n-k}, e by omega, s by MN
+characters over z_nu and m by Hall duality with h; ``_ref_from_p`` has the
+three Fraction branches (Newton for h and e, the duality table for m, a
+per-lambda MN sum for s).  The product, skew, omega, series product and
+alphabet transforms of ``_REFERENCES`` work on p-basis expansions through
+these two.  Results are compared term for term, coefficient types and
+JSON form included.
+
+``_to_p`` and ``_from_p`` are the p-expansion and its readout through
+class values, as the library had them; the other test modules build
+their Fraction references on them.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial
 
-import pytest
-
-from symcalc import alphabets, symfunc
 from symcalc.alphabets import (TruncatedSeries, scale_alphabet,
                                shift_alphabet, sigma_minus_one, sigma_series)
 from symcalc.coeffs import ParamPoly
 from symcalc.partitions import (canonical_key, partitions_of,
                                 partitions_up_to, z_value)
-from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _p_mult_basis,
+from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _class_values,
+                             _from_class_sums, _over, _p_mult_basis,
                              char_value, convert, elem, foulkes_derivative,
                              homog, mono, multiply, omega, power, schur)
 
@@ -139,14 +145,97 @@ def _ref_convert(f, target):
     return f if target == f.basis else _ref_from_p(_ref_to_p(f), target)
 
 
+def _ref_multiply(f, g, cap=None):
+    prod = _p_mult_basis((_ref_to_p(f).items(), _ref_to_p(g).items()), cap)
+    return _ref_from_p(prod, f.basis)
+
+
+def _ref_foulkes_derivative(f, g):
+    a, b = _ref_to_p(f), _ref_to_p(g)
+    out = {}
+    for alpha, c in a.items():
+        for nu, d in b.items():
+            coef = c * d
+            rest = list(nu)
+            ok = True
+            for k in alpha:
+                if k not in rest:
+                    ok = False
+                    break
+                coef = coef * (k * rest.count(k))
+                rest.remove(k)
+            if ok:
+                key = tuple(rest)
+                prev = out.get(key)
+                out[key] = coef if prev is None else prev + coef
+    return _ref_from_p({k: v for k, v in out.items() if v}, g.basis)
+
+
+def _ref_omega(f):
+    return _ref_from_p({nu: (-1 if (sum(nu) - len(nu)) % 2 else 1) * c
+                        for nu, c in _ref_to_p(f).items()}, f.basis)
+
+
+def _ref_shift_alphabet(f, c):
+    """The p-substitution p_k -> p_k + c."""
+    out = {}
+    for nu, coef in _ref_to_p(f).items():
+        factors = ((((k,), Fraction(1)), ((), Fraction(c))) for k in nu)
+        _add_scaled(out, coef, _p_mult_basis(factors).items())
+    return _ref_from_p({k: v for k, v in out.items() if v}, f.basis)
+
+
+def _ref_scale_alphabet(f, mode, qcap, param="q"):
+    out = {}
+    for nu, coef in _ref_to_p(f).items():
+        factor = ParamPoly.const(1, (param,), {param: qcap})
+        for k in nu:
+            if mode == "(1-q)X":
+                fk = ParamPoly((param,), {(0,): 1, (k,): -1}, {param: qcap})
+            else:
+                fk = ParamPoly((param,),
+                               {(j,): 1 for j in range(0, qcap + 1, k)},
+                               {param: qcap})
+            factor = factor * fk
+        c = coef * factor
+        prev = out.get(nu)
+        out[nu] = c if prev is None else prev + c
+    return _ref_from_p({k: v for k, v in out.items() if v}, f.basis)
+
+
+def _ref_series_mul(a, b):
+    cap = min(a.cap, b.cap)
+    return TruncatedSeries(_ref_multiply(a.expr, b.expr, cap), cap)
+
+
+_REFERENCES = {multiply: _ref_multiply,
+               foulkes_derivative: _ref_foulkes_derivative,
+               omega: _ref_omega, shift_alphabet: _ref_shift_alphabet,
+               scale_alphabet: _ref_scale_alphabet,
+               TruncatedSeries.__mul__: _ref_series_mul}
+
+
 def _reference(fn, *args):
-    """fn(*args) with the library's ``_to_p``/``_from_p`` replaced by the
-    reference routes, in every module that calls them."""
-    with pytest.MonkeyPatch.context() as mp:
-        for mod in (symfunc, alphabets):
-            mp.setattr(mod, "_to_p", _ref_to_p)
-            mp.setattr(mod, "_from_p", _ref_from_p)
-        return fn(*args)
+    """fn(*args) computed by its p-basis reference over the Fraction
+    routes."""
+    return _REFERENCES[fn](*args)
+
+
+# -- the p-basis routes through class values ----------------------------
+
+
+def _to_p(expr):
+    """Expansion of expr in the p basis: [p_nu]f = chi_f(nu) / z_nu."""
+    if expr.basis == "p":
+        return dict(expr.terms)
+    return {nu: _over(c, z_value(nu)) for nu, c in _class_values(expr).items()}
+
+
+def _from_p(pterms, target):
+    """sum_nu pterms(nu) p_nu in ``target``: the readout of the class sums
+    |nu|! pterms(nu)."""
+    return _from_class_sums({nu: c * factorial(sum(nu))
+                             for nu, c in pterms.items()}, target)
 
 
 # -- comparison --------------------------------------------------------
@@ -195,7 +284,7 @@ def test_convert_rational_parampoly_and_inhomogeneous():
             _same(convert(f, target), _ref_convert(f, target))
 
 
-# -- operations that read out through _from_p ---------------------------
+# -- products, skewing, omega and alphabet transforms ------------------
 
 
 def test_products_and_involutions_match_fraction_routes():
@@ -222,6 +311,17 @@ def test_products_and_involutions_match_fraction_routes():
                          (scale_alphabet, (f, "(1-q)X", 3)),
                          (scale_alphabet, (f, "X/(1-q)", 2))]:
             _same(fn(*args), _reference(fn, *args))
+
+
+def test_capped_product_is_the_truncated_product():
+    inputs = _mixed_inputs() + [MAKERS[b](lam) + MAKERS[b]((2, 1), T)
+                                for b in BASES for lam in [(3, 2), (4,)]]
+    for f, g in product(inputs[::2], inputs[1::3]):
+        full = multiply(f, g)
+        for cap in range(full.degree() + 1):
+            got, ref = multiply(f, g, cap), full.truncate(cap)
+            _same(got, ref)
+            assert list(got.terms) == list(ref.terms)
 
 
 def test_truncated_series_product_matches_fraction_routes():

@@ -346,3 +346,12 @@ def test_eval_bad_cap_is_a_usage_error(cap, capsys):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert "--cap" in err and "Traceback" not in err
+
+
+def test_reduced_kron_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduced-kron", "--lambda", "2", "--mu", "1", "--format",
+              "json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--format" in err and "Traceback" not in err

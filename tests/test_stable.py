@@ -465,7 +465,7 @@ def _coproduct_by_triples(lam):
 
 
 def test_stable_coproduct_matches_triple_loop():
-    for lam in partitions_up_to(5):
+    for lam in partitions_up_to(6):
         assert stable_coproduct_tilde_s(lam) == _coproduct_by_triples(lam), lam
 
 
@@ -480,3 +480,15 @@ def test_stable_kron_at_every_n():
                 for n in range(9):
                     assert evaluate_at_n(prod, n) == internal(
                         evaluate_at_n(a, n), evaluate_at_n(b, n)), (lam, mu, n)
+
+
+def test_char_polynomial_rejects_non_integer_coefficients():
+    for terms in ({(1,): Fraction(1, 2), (2,): Fraction(3, 2)},
+                  {(2, 1): 2.5}):
+        with pytest.raises(ArithmeticError):
+            CharPolynomial(terms)
+    with pytest.raises(ArithmeticError):
+        CharPolynomial.from_json([{"nu": [1], "coeff": 1.5}])
+    poly = CharPolynomial({(1,): Fraction(4, 2), (2,): 0, (3,): 1.0, (): 0.0})
+    assert poly.terms == {(1,): 2, (3,): 1}
+    assert all(type(c) is int for c in poly.terms.values())

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from symcalc.partitions import (conjugate, partitions_of, partitions_up_to,
                                 z_value)
-from symcalc.symfunc import (SymExpr, _to_p, elem, foulkes_derivative,
+from symcalc.symfunc import (SymExpr, elem, foulkes_derivative,
                              hall_scalar, homog, internal, lr_coefficient,
                              mn_character, mono, multiply, omega, power,
                              schur, skew_schur)
+from test_change_of_basis import _to_p
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -246,3 +247,19 @@ def test_p_to_m_rows_match_monomial_counts():
             row = power(nu).in_basis("m").terms
             for mu in parts:
                 assert row.get(mu, 0) == _p_in_m_count(nu, mu), (nu, mu)
+
+
+def test_skew_is_adjoint_to_multiplication():
+    # <D_f g, h> = <g, f h>: the defining property of the skew
+    makers = (schur, homog, elem, power, mono)
+    for d in range(7):
+        for a in range(d + 1):
+            for mu in partitions_of(a):
+                f = makers[sum(mu) % 5](mu)
+                for lam in partitions_of(d):
+                    g = makers[len(lam) % 5](lam)
+                    skew = foulkes_derivative(f, g)
+                    for nu in partitions_of(d - a):
+                        h = schur(nu)
+                        assert hall_scalar(skew, h) == \
+                            hall_scalar(g, multiply(f, h)), (mu, lam, nu)
