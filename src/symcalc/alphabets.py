@@ -9,10 +9,10 @@ plethysm f[p_1 +- 1] and the negation f(-X) is f[-p_1].  Infinite series
 arithmetic; their product is the class-sum product ``multiply`` cut at
 the smaller cap, and ``scale_alphabet`` scales each class sum N(nu) by
 the q-factor of nu.  The readout ``outer_plethysm``, the pairing
-``_pleth_pairing`` and the tilde rows of ``stable`` share one tail
-kernel, ``_tails``.  The first two reuse the trees of the last 8 exact
-(g, cap) through ``_shared_tails``; the tilde rows, each tree used once,
-bypass it.
+``_pleth_pairing`` and the adjoint of plethysm f -> sum_mu <f, m_mu[g]>
+h_mu, ``_pleth_adjoint`` (the Gay restrictions, weight orbits and tilde
+rows), share one tail kernel, ``_tails``, and all but the tilde rows the
+trees of the last 8 exact (g, cap) through ``_shared_tail``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from functools import lru_cache
 from math import factorial
 
 from .coeffs import Coeff, ParamPoly, binomial_series_coeff, coeff_frobenius
+from .partitions import partitions_of
 from .symfunc import (SymExpr, _add_scaled, _class_sums, _class_values,
-                      _from_class_sums, _p_mult_basis, _p_weights, _pair,
-                      multiply, power)
+                      _from_class_sums, _from_class_values, _p_mult_basis,
+                      _p_weights, _pair, multiply, power)
 
 
 class TruncatedSeries:
@@ -92,13 +93,28 @@ def _pleth_sums(f: SymExpr, g):
     """(N, L, cap): L times the class sums N(nu) = |nu|! [p_nu](f o g),
     ints for integral f and g, and the cap of g (None for a SymExpr)."""
     g, cap = (g.expr, g.cap) if isinstance(g, TruncatedSeries) else (g, None)
-    tail = _shared_tails(g.basis, tuple((lam, c, _exact(c))
-                                         for lam, c in g.terms.items()), cap)
+    tail = _shared_tail(g, cap)
     big, weights = _p_weights(f)
     out: dict = {}
     for alpha, w in weights:
         _add_scaled(out, w, tail(alpha).items())
     return out, big, cap
+
+
+def _pleth_adjoint(f: SymExpr, tail, degrees) -> SymExpr:
+    """sum_mu <f, m_mu[g]> h_mu over mu of the given sizes, g that of
+    ``tail`` (over all mu of a size, sum <f, s_mu[g]> s_mu): one h readout
+    of chi(rho) = <f, p_rho[g]>, as p_rho = sum_mu <p_rho, h_mu> m_mu."""
+    chi = _class_values(f)
+    return _from_class_values({rho: _pair(chi, tail(rho)) for n in degrees
+                               for rho in partitions_of(n)}, "h")
+
+
+def _shared_tail(g: SymExpr, cap):
+    """The ``_tails`` of g cut at cap (None: uncut), through the memo."""
+    g = g if cap is None else g.truncate(cap)
+    return _shared_tails(g.basis, tuple((lam, c, _exact(c))
+                                        for lam, c in g.terms.items()), cap)
 
 
 def _exact(c):
@@ -117,12 +133,12 @@ def _tails(g: SymExpr, cap):
     """alpha -> the class sums of p_alpha[g] up to degree cap (None: all),
     memoized on the tails of alpha: the one tail kernel of plethysm.
 
-    ``_pleth_sums`` shares trees through ``_shared_tails`` (lru_cache, 8
-    trees), keyed by g's basis, its ordered (lam, c, ``_exact(c)``) and the
-    cap: term order and coefficient types of g show in the results.  The
-    tilde rows (``stable._pleth_columns``) use each tree once and at degree
-    14 are the largest objects in the process, so they bypass it.  A
-    returned tail dict is only read.
+    ``_shared_tail`` shares trees (``_shared_tails``, lru_cache, 8 trees)
+    keyed by g's basis, its ordered (lam, c, ``_exact(c)``) and the cap:
+    term order and coefficient types of g show in the results.  The tilde
+    rows (``stable._pleth_columns``) use each tree once and at degree 14
+    are the largest objects in the process, so in the memo they would
+    only raise the peak memory; they build their own.  Tails are read-only.
 
     Products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
     ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, and a p_k[g]

@@ -2,22 +2,25 @@
 decompositions, endofunction counts, and pure braid group cohomology.
 
 Zero-weight spaces and weight-orbit decompositions are one adjoint of
-plethysm, f -> sum_mu <f, m_mu[g]> h_mu (``_pleth_adjoint``), for g = h_k
-or a weight alphabet t_0 + t_1 h_1 + ...; the answer is then read out in
-the basis asked for.
+plethysm, f -> sum_mu <f, m_mu[g]> h_mu (``alphabets._pleth_adjoint``),
+for g = h_k or a weight alphabet t_0 + t_1 h_1 + ... cut at the degree of
+f; the answer is then read out in the basis asked for.  The endofunction
+count is the trace of that map for g = 1 + t_1 h_1 + ..., read off the
+same tail tree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .alphabets import (TruncatedSeries, _pleth_pairing, binomial_exp_product,
-                        lie_character, outer_plethysm, sigma_series)
+from .alphabets import (_mobius, _pleth_adjoint, _pleth_pairing, _shared_tail,
+                        binomial_exp_product, lie_character, outer_plethysm,
+                        sigma_series)
 from .coeffs import Coeff, ParamPoly
-from .partitions import partitions_of, partitions_up_to
+from .partitions import partitions_of
 from .stable import StableChar
-from .symfunc import (SymExpr, convert, elem, homog, mono, multiply, power,
-                      schur)
+from .symfunc import SymExpr, convert, elem, homog, multiply, power, schur
 
 
 def littlewood_pair(f: SymExpr, g: SymExpr, cap: int) -> Coeff:
@@ -28,22 +31,14 @@ def littlewood_pair(f: SymExpr, g: SymExpr, cap: int) -> Coeff:
     return _pleth_pairing(f, g, sigma_series("sigma", 1, cap))
 
 
-def _pleth_adjoint(f: SymExpr, g, mus) -> SymExpr:
-    """sum_{mu in mus} <f, m_mu[g]> h_mu, the adjoint of plethysm by g.
-    Over all mu of one size this equals sum <f, s_mu[g]> s_mu, since
-    (m, h) and (s, s) are dual pairs.  g is truncated at the degree of f,
-    all that the pairing with a homogeneous f sees."""
-    g = TruncatedSeries(g, f.degree())
-    return SymExpr("h", {mu: _pleth_pairing(f, mono(mu), g) for mu in mus})
-
-
 def _zero_weight(f: SymExpr, k: int) -> SymExpr:
     """sum_{mu |- d/k} <f, m_mu[h_k]> h_mu for f of degree d; 0 when k does
     not divide d."""
     if k <= 0:
         raise ValueError("k must be positive")
     d = f.degree()
-    return _pleth_adjoint(f, homog([k]), [] if d % k else partitions_of(d // k))
+    return _pleth_adjoint(f, _shared_tail(homog([k]), d),
+                          [] if d % k else [d // k])
 
 
 def gay_restriction(lam, k: int) -> SymExpr:
@@ -60,13 +55,10 @@ def gay_restriction_perm(lam, k: int) -> SymExpr:
 
 def _weight_alphabet(max_weight: int, with_t0: bool = True) -> SymExpr:
     """t_0 + t_1 h_1 + ... + t_w h_w with marker parameters t_j."""
-    params = tuple(f"t{j}" for j in range(0 if with_t0 else 1, max_weight + 1))
-    terms = {}
-    lo = 0 if with_t0 else 1
-    for j in range(lo, max_weight + 1):
-        exps = tuple(1 if p == f"t{j}" else 0 for p in params)
-        terms[(j,) if j else ()] = ParamPoly(params, {exps: Fraction(1)})
-    return SymExpr("h", terms)
+    js = range(0 if with_t0 else 1, max_weight + 1)
+    params = tuple(f"t{j}" for j in js)
+    return SymExpr("h", {(j,) if j else (): ParamPoly(params, {tuple(
+        int(i == j) for i in js): Fraction(1)}) for j in js})
 
 
 def weight_orbit_decomposition(f: SymExpr, n: int, max_weight: int) -> SymExpr:
@@ -79,8 +71,8 @@ def weight_orbit_decomposition(f: SymExpr, n: int, max_weight: int) -> SymExpr:
     """
     if not f.is_homogeneous() or not f.terms:
         raise ValueError("weight decomposition requires homogeneous input")
-    return convert(_pleth_adjoint(f, _weight_alphabet(max_weight),
-                                  partitions_of(n)), f.basis)
+    tail = _shared_tail(_weight_alphabet(max_weight), f.degree())
+    return convert(_pleth_adjoint(f, tail, [n]), f.basis)
 
 
 def stable_weight_orbits(f: SymExpr) -> StableChar:
@@ -90,27 +82,25 @@ def stable_weight_orbits(f: SymExpr) -> StableChar:
     if not f.is_homogeneous() or not f.terms:
         raise ValueError("stable weight decomposition requires homogeneous input")
     d = f.degree()
-    return StableChar(_pleth_adjoint(f, _weight_alphabet(d, with_t0=False),
-                                     partitions_up_to(d)))
+    tail = _shared_tail(_weight_alphabet(d, with_t0=False), d)
+    return StableChar(_pleth_adjoint(f, tail, range(d + 1)))
 
 
 def endofunction_signature(n: int) -> ParamPoly:
-    """sum_{lam |- n} <h_lam, m_lam[1 + t_1 h_1 + ...]>, the weight-graded
-    count of endofunction patterns on n points; t_j = 1 gives the total."""
+    """sum_{lam |- n} <h_lam, m_lam[A]>, A = 1 + t_1 h_1 + ..., the weight-
+    graded count of endofunction patterns on n points (t_j = 1: the total).
+    By the Cauchy identity sum_lam h_lam (x) m_lam = sum_rho p_rho (x) p_rho
+    / z_rho it is the trace sum_{rho |- n} [p_rho] p_rho[A], the class sum
+    of p_rho[A] at rho over n!."""
     if n < 1:
         raise ValueError("n must be positive")
-    alphabet = TruncatedSeries(_weight_alphabet(n, with_t0=False) + SymExpr(
-        "h", {(): Fraction(1)}), n)
-    params = tuple(f"t{j}" for j in range(1, n + 1))
-    total: Coeff = ParamPoly.const(0, params)
-    for lam in partitions_of(n):
-        total = total + _pleth_pairing(homog(lam), mono(lam), alphabet)
-    return total
+    tail = _shared_tail(_weight_alphabet(n, with_t0=False) + 1, n)
+    trace = sum(tail(rho)[rho] for rho in partitions_of(n))
+    return trace * Fraction(1, factorial(n))
 
 
 def _necklace_poly(i: int, cap: int) -> ParamPoly:
     """ell_i(t) = (1/i) sum_{d | i} mu(d) t^{i/d} in the parameter t."""
-    from .alphabets import _mobius
     terms = {}
     for d in range(1, i + 1):
         if i % d == 0:

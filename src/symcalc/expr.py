@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .alphabets import outer_plethysm, shift_alphabet
 from .innerpleth import inner_plethysm
-from .stable import (StableChar, angle, character_polynomial, dangle,
-                     evaluate_at_n, stable_inner_plethysm, stable_kron,
-                     tilde_h, tilde_s, tilde_x)
+from .stable import (CharPolynomial, StableChar, angle, character_polynomial,
+                     dangle, evaluate_at_n, stable_inner_plethysm,
+                     stable_kron, tilde_h, tilde_s, tilde_x)
 from .symfunc import (SymExpr, foulkes_derivative, hall_scalar, internal,
                       multiply)
 from .symfunc import elem, homog, mono, power, schur
@@ -253,10 +253,14 @@ def evaluate(node):
         return node[1]
     if kind == "atom":
         return _ATOM_MAKERS[node[1]](node[2])
-    if kind == "neg":
-        return -evaluate(node[1])
+    if kind in ("neg", "add", "sub", "mul"):
+        args = [evaluate(arg) for arg in node[1:]]
+        if any(isinstance(v, CharPolynomial) for v in args):
+            raise EvalError("character polynomials take no '+', '-' or '*'")
+        if kind == "neg":
+            return -args[0]
+        a, b = args
     if kind in ("add", "sub"):
-        a, b = evaluate(node[1]), evaluate(node[2])
         if isinstance(a, StableChar) != isinstance(b, StableChar):
             if isinstance(a, Fraction):
                 a = a * angle([])
@@ -267,7 +271,6 @@ def evaluate(node):
                                 "symmetric functions in a sum")
         return a + b if kind == "add" else a - b
     if kind == "mul":
-        a, b = evaluate(node[1]), evaluate(node[2])
         if isinstance(a, StableChar) and isinstance(b, StableChar):
             raise EvalError("use '#' for products of stable characters")
         if isinstance(a, StableChar) or isinstance(b, StableChar):

@@ -10,7 +10,9 @@ coefficient and the name.  ``coeffs.join_terms`` joins the term texts;
 
 from __future__ import annotations
 
-from .coeffs import ParamPoly, format_coeff, join_terms
+import json
+
+from .coeffs import ParamPoly, coeff_to_json, format_coeff, join_terms
 from .partitions import canonical_key, multiplicities
 from .stable import CharPolynomial, StableChar, to_angle_basis
 from .symfunc import SymExpr
@@ -66,7 +68,6 @@ def render_terms(terms: dict, name, order: str, sep: str,
 
 def render_symexpr(f: SymExpr, fmt: str = "text", order: str = "desc") -> str:
     if fmt == "json":
-        import json
         return json.dumps(f.to_json(), sort_keys=True)
     latex = fmt == "latex"
 
@@ -80,9 +81,7 @@ def render_symexpr(f: SymExpr, fmt: str = "text", order: str = "desc") -> str:
 def render_stable(sc: StableChar, fmt: str = "text") -> str:
     coeffs = to_angle_basis(sc)
     if fmt == "json":
-        import json
         items = sorted(coeffs.items(), key=lambda kv: canonical_key(kv[0]))
-        from .coeffs import coeff_to_json
         return json.dumps({"reduced": sc.reduced.to_json(),
                            "angle_terms": [{"part": list(lam),
                                             "coeff": coeff_to_json(c)}
@@ -99,7 +98,6 @@ def render_stable(sc: StableChar, fmt: str = "text") -> str:
 
 def render_charpoly(cp: CharPolynomial, fmt: str = "text") -> str:
     if fmt == "json":
-        import json
         return json.dumps(cp.to_json(), sort_keys=True)
     latex = fmt == "latex"
 
@@ -121,7 +119,5 @@ def render_value(value, fmt: str = "text", order: str = "desc") -> str:
     if isinstance(value, CharPolynomial):
         return render_charpoly(value, fmt)
     if fmt == "json":
-        import json
-        from .coeffs import coeff_to_json
         return json.dumps({"scalar": coeff_to_json(value)}, sort_keys=True)
     return format_coeff(value, latex=(fmt == "latex"))

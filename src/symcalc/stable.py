@@ -28,16 +28,16 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .alphabets import (_tails, invert_sigma, outer_plethysm, shift_alphabet,
-                        sigma_minus_one)
+from .alphabets import (_pleth_adjoint, _tails, invert_sigma, outer_plethysm,
+                        shift_alphabet, sigma_minus_one)
 from .cache import cached_table
 from .coeffs import as_fraction
 from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
                          partitions_up_to)
-from .symfunc import (SymExpr, _add_scaled, _as_int, _class_row,
-                      _class_values, _from_class_values, _pair, _pkey,
-                      _punkey, convert, foulkes_derivative, homog, schur)
+from .symfunc import (SymExpr, _add_scaled, _as_int, _class_values,
+                      _from_class_values, _pkey, _punkey, convert,
+                      foulkes_derivative, homog, schur)
 
 
 class StableChar:
@@ -242,14 +242,12 @@ _SERIES = {"H": sigma_minus_one, "M": invert_sigma}
 @lru_cache(maxsize=None)
 def _pleth_columns(series: str, d: int) -> dict:
     """{lam: {mu: <h_lam, m_mu[S]>}} for lam |- d: row lam is T^-1(h_lam)
-    for S = H and T(h_lam) for S = M, in the h basis, computed by pairing
-    its class values <h_lam, p_rho[S]> on one ``_tails`` of S."""
+    for S = H and T(h_lam) for S = M: ``_pleth_adjoint`` of h_lam over
+    |mu| <= d, all rows on one ``_tails`` tree of S, not ``_shared_tail``."""
     def compute():
         s = _SERIES[series](max(d, 1))   # invert_sigma needs cap >= 1
         tail = _tails(s.expr, s.cap)
-        return {lam: _from_class_values(
-                    {rho: _pair(_class_row("h", lam), tail(rho))
-                     for rho in partitions_up_to(d)}, "h").terms
+        return {lam: _pleth_adjoint(homog(lam), tail, range(d + 1)).terms
                 for lam in partitions_of(d)}
 
     def encode(rows):

@@ -355,3 +355,18 @@ def test_reduced_kron_has_no_format_option(capsys):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert "--format" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "charpoly(s[1]) * 2",
+    "charpoly(s[1]) + charpoly(s[1])",
+    "s[1] + charpoly(s[1])",
+    "-charpoly(s[1])",
+    "A[1] + charpoly(s[1])",
+    "2 - charpoly(s[2])",
+])
+def test_arithmetic_on_a_character_polynomial_exits_3(text):
+    code, out, err = run_cli(["eval", "--", text])
+    assert (code, out) == (3, "")
+    assert err == ("evaluation error: character polynomials take no "
+                   "'+', '-' or '*'\n")
