@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .coeffs import Coeff, ParamPoly, binomial_series_coeff, coeff_frobenius
-from .partitions import partitions_of
+from .partitions import multiplicities, partitions_of, partitions_up_to
 from .symfunc import (SymExpr, _add_scaled, _class_sums, _class_values,
                       _from_class_sums, _from_class_values, _p_mult_basis,
                       _p_weights, _pair, multiply, power)
@@ -178,7 +178,7 @@ def shift_alphabet(f: SymExpr, c: int) -> SymExpr:
     return outer_plethysm(f, power([1]) + c)
 
 
-def scale_alphabet(f: SymExpr, mode: str, qcap: int, param: str = "q") -> SymExpr:
+def scale_alphabet(f: SymExpr, mode: str, qcap: int) -> SymExpr:
     """f[(1-q)X] or f[X/(1-q)], truncated at q-degree qcap.
 
     p_k picks up the factor (1-q^k), resp. its truncated geometric
@@ -189,16 +189,16 @@ def scale_alphabet(f: SymExpr, mode: str, qcap: int, param: str = "q") -> SymExp
         raise ValueError("qcap must be nonnegative")
     if mode not in ("(1-q)X", "X/(1-q)"):
         raise ValueError(f"unknown mode {mode!r}")
+    caps = {"q": qcap}
     out: dict = {}
     for nu, c in _class_sums(f).items():
-        factor = ParamPoly.const(1, (param,), {param: qcap})
+        factor = ParamPoly.const(1, ("q",), caps)
         for k in nu:
             if mode == "(1-q)X":
-                fk = ParamPoly((param,), {(0,): 1, (k,): -1}, {param: qcap})
+                fk = ParamPoly(("q",), {(0,): 1, (k,): -1}, caps)
             else:
-                fk = ParamPoly((param,),
-                               {(j,): 1 for j in range(0, qcap + 1, k)},
-                               {param: qcap})
+                fk = ParamPoly(("q",),
+                               {(j,): 1 for j in range(0, qcap + 1, k)}, caps)
             factor = factor * fk
         out[nu] = c * factor
     return _from_class_sums(out, f.basis)
@@ -268,21 +268,15 @@ def invert_sigma(cap: int) -> TruncatedSeries:
         for k in range(1, cap + 1) for j in range(1, cap // k + 1)}), cap)
 
 
-def binomial_exp_product(exponents, cap: int, param: str = "t") -> TruncatedSeries:
+def binomial_exp_product(exponents, cap: int) -> TruncatedSeries:
     """prod_{i>=1} (1+p_i)^{a_i} with binomial-element exponents a_i.
 
     ``exponents[i-1]`` is the exponent of (1+p_i); the X-degree is
-    truncated at ``cap``.
+    truncated at ``cap``.  The coefficient of p_nu is
+    prod_i C(a_i, m_i(nu)), one binomial per cycle length i of nu.
     """
-    result = TruncatedSeries(SymExpr("p", {(): Fraction(1)}), cap)
-    for i, a in enumerate(exponents, start=1):
-        if i > cap:
-            break
-        terms = {}
-        for k in range(cap // i + 1):
-            c = binomial_series_coeff(a, k)
-            if c:
-                terms[(i,) * k] = c
-        result = result * TruncatedSeries(SymExpr("p", terms), cap)
-    return result
-
+    a = list(exponents)
+    return TruncatedSeries(SymExpr("p", {
+        nu: prod(binomial_series_coeff(a[i - 1], m)
+                 for i, m in multiplicities(nu).items())
+        for nu in partitions_up_to(cap) if not nu or nu[0] <= len(a)}), cap)

@@ -71,7 +71,8 @@ def weight_orbit_decomposition(f: SymExpr, n: int, max_weight: int) -> SymExpr:
     """
     if not f.is_homogeneous() or not f.terms:
         raise ValueError("weight decomposition requires homogeneous input")
-    tail = _shared_tail(_weight_alphabet(max_weight), f.degree())
+    d = f.degree()   # weights above d are cut with the tail
+    tail = _shared_tail(_weight_alphabet(min(max_weight, d)), d)
     return convert(_pleth_adjoint(f, tail, [n]), f.basis)
 
 

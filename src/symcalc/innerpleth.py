@@ -15,6 +15,7 @@ for g(Omega_mu).
 
 from __future__ import annotations
 
+from .alphabets import scale_alphabet
 from .coeffs import Coeff
 from .partitions import (multiplicities, partition, partitions_of,
                          power_cycle_type)
@@ -99,5 +100,4 @@ def perm_char(n: int) -> SymExpr:
 def graded_poly_char(n: int, qcap: int) -> SymExpr:
     """Graded characteristic h_n[X/(1-q)] of the polynomial ring,
     truncated at q-degree qcap."""
-    from .alphabets import scale_alphabet
     return scale_alphabet(homog([n] if n else []), "X/(1-q)", qcap)

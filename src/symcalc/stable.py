@@ -36,8 +36,8 @@ from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
                          partitions_up_to)
 from .symfunc import (SymExpr, _add_scaled, _as_int, _class_values,
-                      _from_class_values, _pkey, _punkey, convert,
-                      foulkes_derivative, homog, schur)
+                      _from_class_values, convert, foulkes_derivative, homog,
+                      schur)
 
 
 class StableChar:
@@ -138,7 +138,6 @@ def stable_kron(a: StableChar, b: StableChar) -> StableChar:
     return StableChar(_from_class_values(chi, a.reduced.basis))
 
 
-@lru_cache(maxsize=None)
 def _binomial_product(nu: tuple, rho: tuple) -> tuple:
     """prod_i C(m_i, n_i(nu)) C(m_i, n_i(rho)) on the binomial basis, as
     (kappa, int) pairs, one cycle length i at a time."""
@@ -237,6 +236,14 @@ def character_polynomial(lam) -> CharPolynomial:
 # the tilde bases: every tilde function is T or T^-1
 
 _SERIES = {"H": sigma_minus_one, "M": invert_sigma}
+
+
+def _pkey(lam) -> str:
+    return ",".join(map(str, lam))
+
+
+def _punkey(s: str) -> tuple:
+    return tuple(int(x) for x in s.split(",")) if s else ()
 
 
 @lru_cache(maxsize=None)

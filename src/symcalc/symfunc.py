@@ -28,8 +28,9 @@ lam u mu by C(|lam|+|mu|, |lam|), omega is the sign (-1)^(|nu|-len(nu))
 on N(nu), and the skew is chi_{D_f g}(beta) = <g, f p_beta> =
 sum_a [p_a]f chi_g(a u beta).  One kernel, ``_p_mult_basis``, makes the
 products of class sums and in the bases p, h and e.  The MN characters
-at nu are one memo for all lam, ``_mn_column(nu)``.  Transition data is
-memoized; character tables can also be persisted (``symcalc.cache``).
+at nu are one memo for all lam, ``_mn_column(nu)``, keyed by partitions;
+``char_value``, ``character_table``, the s class rows and the s readout
+all read it in place.  Transition data is memoized in memory only.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from . import cache as _cache
 from .coeffs import (Coeff, ParamPoly, coeff_from_json, coeff_subs,
                      coeff_to_json)
 from .partitions import (canonical_key, conjugate, multiplicities, partition,
@@ -218,14 +218,6 @@ def mono(lam, coeff=1) -> SymExpr:
 # -- transition data ----------------------------------------------------
 
 
-def _pkey(lam) -> str:
-    return ",".join(map(str, lam))
-
-
-def _punkey(s: str) -> tuple:
-    return tuple(int(x) for x in s.split(",")) if s else ()
-
-
 def _add_scaled(out: dict, c, terms) -> None:
     """out += c * terms, for an iterable of (partition, coeff) pairs."""
     for nu, d in terms:
@@ -280,16 +272,24 @@ def _beads(lam: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
+def _shape(mask: int) -> tuple:
+    """The partition with abacus mask ``mask``, the inverse of ``_beads``."""
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return tuple(b - i for i, b in enumerate(beads))[::-1]
+
+
+@lru_cache(maxsize=None)
 def _mn_column(mu: tuple) -> dict:
-    """{_beads(lam): chi^lam(mu)} over lam |- |mu|, nonzero values only:
-    by MN, the column of mu[1:] times p_r, r = mu[0].  With r beads added
-    below a mask, each border r-strip moves a bead b to a free b + r, with
-    the sign of the beads between; the min(b, r) low beads left drop out."""
+    """{lam: chi^lam(mu)} over lam |- |mu|, nonzero values only: the one
+    store of MN characters.  By MN, the column of mu[1:] times p_r,
+    r = mu[0], on the abacus: with r beads added below the mask of lam,
+    each border r-strip moves a bead b to a free b + r, with the sign of
+    the beads between; the min(b, r) low beads left drop out."""
     if not mu:
-        return {0: 1}
+        return {(): 1}
     r, out = mu[0], {}
-    for mask, v in _mn_column(mu[1:]).items():
-        m = (mask << r) | ((1 << r) - 1)
+    for lam, v in _mn_column(mu[1:]).items():
+        m = (_beads(lam) << r) | ((1 << r) - 1)
         movable = m & ~(m >> r)
         while movable:
             low = movable & -movable
@@ -297,34 +297,22 @@ def _mn_column(mu: tuple) -> dict:
             new = (m ^ low ^ (low << r)) >> min(low.bit_length() - 1, r)
             odd = (m & ((low << r) - (low << 1))).bit_count() & 1
             out[new] = out.get(new, 0) + (-v if odd else v)
-    return {k: v for k, v in out.items() if v}
+    return {_shape(k): v for k, v in out.items() if v}
 
 
 def char_value(lam: tuple, mu: tuple) -> int:
     """chi^lam(mu), read from the MN column of mu; 0 if lam = () != mu."""
     if lam and sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: {lam} vs {mu}")
-    return _mn_column(mu).get(_beads(lam), 0)
+    return _mn_column(mu).get(lam, 0)
 
 
 def character_table(n: int) -> dict:
-    """Full character table of degree n: (lam, mu) -> integer."""
-    def compute():
-        parts = partitions_of(n)
-        cols = [(mu, _mn_column(mu)) for mu in parts]
-        return {(lam, mu): col.get(_beads(lam), 0) for lam in parts
-                for mu, col in cols}
-
-    def encode(tab):
-        return {f"{_pkey(l)}|{_pkey(m)}": v for (l, m), v in tab.items()}
-
-    def decode(payload):
-        parts = partitions_of(n)
-        return {(lam, mu): int(payload[f"{_pkey(lam)}|{_pkey(mu)}"])
-                for lam in parts for mu in parts}
-
-    return _cache.cached_table("chartableAbacus", str(n), compute, encode,
-                               decode)
+    """Full character table of degree n: (lam, mu) -> integer, in
+    partitions_of(n) order, read from the MN columns."""
+    parts = partitions_of(n)
+    cols = [(mu, _mn_column(mu)) for mu in parts]
+    return {(lam, mu): col.get(lam, 0) for lam in parts for mu, col in cols}
 
 
 @lru_cache(maxsize=None)
@@ -374,8 +362,7 @@ def _class_row(basis: str, lam: tuple) -> dict:
     e is h with the omega sign."""
     n = sum(lam)
     if basis == "s":
-        b = _beads(lam)
-        row = ((nu, _mn_column(nu).get(b, 0)) for nu in partitions_of(n))
+        row = ((nu, _mn_column(nu).get(lam, 0)) for nu in partitions_of(n))
     elif basis == "m":
         row = ((nu, _p_in_h(nu).get(lam, 0)) for nu in partitions_of(n))
     elif basis == "p":
@@ -417,15 +404,15 @@ def _p_weights(f: SymExpr):
 
 
 @lru_cache(maxsize=None)
-def _p_in_basis(target: str, nu: tuple) -> tuple:
+def _p_in_basis(target: str, nu: tuple):
     """p_nu = sum_lam a_lam b_lam in ``target``, as int pairs (lam, a_lam):
-    MN characters for s, [h_lam]p_nu for h (omega sign for e), and for m
-    the transpose of the h class rows, [m_lam]p_nu = <p_nu, h_lam>."""
-    n = sum(nu)
+    MN characters for s (the items of ``_mn_column(nu)``, not a copy),
+    [h_lam]p_nu for h (omega sign for e), and for m the transpose of the h
+    class rows, [m_lam]p_nu = <p_nu, h_lam>."""
     if target == "s":
-        mn = _mn_column(nu)
-        col = ((lam, mn.get(_beads(lam), 0)) for lam in partitions_of(n))
-    elif target == "m":
+        return _mn_column(nu).items()
+    n = sum(nu)
+    if target == "m":
         col = ((lam, _class_row("h", lam).get(nu, 0))
                for lam in partitions_of(n))
     elif target == "p":

@@ -4,7 +4,8 @@ from symcalc.alphabets import (TruncatedSeries, binomial_exp_product,
                                invert_sigma, lie_character, outer_plethysm,
                                scale_alphabet, shift_alphabet,
                                sigma_minus_one, sigma_series)
-from symcalc.coeffs import as_fraction
+from symcalc.apps import _necklace_poly
+from symcalc.coeffs import ParamPoly, as_fraction, binomial_series_coeff
 from symcalc.partitions import partitions_up_to
 from symcalc.symfunc import (SymExpr, elem, hall_scalar, homog, mono, multiply,
                              power, schur)
@@ -116,3 +117,42 @@ def test_binomial_exp_product():
     f = ts.expr.in_basis("p")
     assert f.coefficient((1,)) == 2
     assert f.coefficient((1, 1)) == 1  # C(2,2)
+
+
+def _ref_binomial_exp_product(exponents, cap):
+    """The product of the factors sum_k C(a_i, k) p_i^k as TruncatedSeries,
+    one factor at a time: the earlier code, kept as the reference."""
+    result = TruncatedSeries(SymExpr("p", {(): Fraction(1)}), cap)
+    for i, a in enumerate(exponents, start=1):
+        if i > cap:
+            break
+        terms = {}
+        for k in range(cap // i + 1):
+            c = binomial_series_coeff(a, k)
+            if c:
+                terms[(i,) * k] = c
+        result = result * TruncatedSeries(SymExpr("p", terms), cap)
+    return result
+
+
+def _exact_terms(expr):
+    """Terms with the coefficient type, and a ParamPoly's params and caps."""
+    return {lam: (type(c), getattr(c, "params", None),
+                  getattr(c, "caps", None), c)
+            for lam, c in expr.terms.items()}
+
+
+def test_binomial_exp_product_matches_factor_product():
+    t = ParamPoly.var("t")
+    cases = [([Fraction(2)], range(7)),
+             ([Fraction(1, 2), Fraction(-3)], range(7)),
+             ([t], range(7))]
+    cases += [([_necklace_poly(i, n) for i in range(1, n + 1)], [n])
+              for n in range(1, 10)]
+    for exponents, caps in cases:
+        for cap in caps:
+            got = binomial_exp_product(exponents, cap)
+            want = _ref_binomial_exp_product(exponents, cap)
+            assert got.cap == want.cap == cap
+            assert _exact_terms(got.expr) == _exact_terms(want.expr), (
+                exponents, cap)

@@ -74,6 +74,21 @@ def test_weight_orbit_decomposition_s321():
     assert got.coefficient((3,)) == 0 or not got.coefficient((3,))
 
 
+def test_weight_orbits_carry_only_the_weights_up_to_the_degree():
+    # weights above deg f are cut with the tail: a max weight past deg f
+    # gives the same result, over the params t_0 .. t_{deg f} only
+    for f in (schur([2, 1]), homog([3, 1]), mono([2, 2]), schur([4])):
+        d = f.degree()
+        allowed = {f"t{j}" for j in range(d + 1)}
+        for n in range(d + 1):
+            got = weight_orbit_decomposition(f, n, d + 5)
+            want = weight_orbit_decomposition(f, n, d)
+            assert got.terms == want.terms, (f, n)
+            assert got.to_json() == want.to_json()
+            assert all(set(c.params) <= allowed
+                       for c in got.terms.values()), (f, n)
+
+
 def test_weight_orbits_sum_to_dimension():
     # setting every t_j = 1 recovers the full restriction; its dimension
     # equals dim of the GL_n module, i.e. s_lam(1^n)

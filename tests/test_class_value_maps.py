@@ -25,10 +25,10 @@ from symcalc.apps import stable_cohomology, stable_weight_orbits
 from symcalc.partitions import (canonical_key, partitions_of,
                                 partitions_up_to, z_value)
 from symcalc.render import render_terms
-from symcalc.stable import (StableChar, _pleth_columns, angle, dangle,
+from symcalc.stable import (StableChar, _pkey, _pleth_columns, angle, dangle,
                             stable_kron, tilde_h, tilde_h_expand, transition)
-from symcalc.symfunc import (SymExpr, _pkey, foulkes_derivative, hall_scalar,
-                             homog, mono, multiply, power, schur)
+from symcalc.symfunc import (SymExpr, foulkes_derivative, hall_scalar, homog,
+                             mono, multiply, power, schur)
 from symcalc.tables import SECTIONS, render_table
 from test_cli import run_cli
 

@@ -1,7 +1,9 @@
 """The column-at-a-time Murnaghan-Nakayama kernel against the earlier
 (lam, rest)-memoized border-strip recursion, which is kept here as the
 reference; orthogonality of the degree-18 table; the edge cases of
-``char_value``; and the algorithm-versioned character-table cache.
+``char_value``; the partition keys of the MN columns (``_shape`` inverts
+``_beads``); and that character tables are neither read from nor written
+to a cache directory.
 """
 
 import hashlib
@@ -13,7 +15,8 @@ import pytest
 
 from symcalc.cache import FORMAT_VERSION, set_cache_dir
 from symcalc.partitions import partitions_of, z_value
-from symcalc.symfunc import char_value, character_table
+from symcalc.symfunc import (_beads, _mn_column, _shape, char_value,
+                             character_table)
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +82,8 @@ def test_char_value_edge_cases():
 
 def test_old_chartable_file_is_not_read(tmp_path):
     # a well-formed (right version and checksum) table under the file
-    # name of the earlier kernel, with one wrong value
+    # name of an earlier kernel, with one wrong value: character tables
+    # are never read from or written to the cache directory
     n = 4
     parts = partitions_of(n)
     payload = {f"{','.join(map(str, lam))}|{','.join(map(str, mu))}":
@@ -90,21 +94,21 @@ def test_old_chartable_file_is_not_read(tmp_path):
            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
     (tmp_path / f"chartable-{n}.json").write_text(
         json.dumps(doc, sort_keys=True))
+    before = sorted(f.name for f in tmp_path.iterdir())
     set_cache_dir(str(tmp_path))
     try:
         table = character_table(n)
-        written = sorted(f.name for f in tmp_path.iterdir())
-        again = character_table(n)  # read back from the new file
+        again = character_table(n)
     finally:
         set_cache_dir(None)
     assert table == again == {(lam, mu): _ref_char_value(lam, mu)
                               for lam in parts for mu in parts}
-    assert written == [f"chartable-{n}.json", f"chartableAbacus-{n}.json"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == before
 
 
 def test_character_table_read_back_keeps_partition_order(tmp_path):
-    # the cache writes its payload with sorted keys; the table read back
-    # must still be in partitions_of(n) x partitions_of(n) order
+    # with a cache directory set, every call reads the MN columns in
+    # partitions_of(n) x partitions_of(n) order and writes nothing
     n = 5
     parts = partitions_of(n)
     set_cache_dir(str(tmp_path))
@@ -113,7 +117,22 @@ def test_character_table_read_back_keeps_partition_order(tmp_path):
         read_back = character_table(n)
     finally:
         set_cache_dir(None)
-    assert (tmp_path / f"chartableAbacus-{n}.json").exists()
+    assert list(tmp_path.iterdir()) == []
     assert list(computed) == list(read_back) == [
         (lam, mu) for lam in parts for mu in parts]
     assert computed == read_back
+
+
+def test_shape_inverts_beads():
+    for n in range(15):
+        for lam in partitions_of(n):
+            assert _shape(_beads(lam)) == lam
+
+
+def test_mn_column_keys_are_partitions():
+    for n in range(17):
+        parts = set(partitions_of(n))
+        for mu in partitions_of(n):
+            col = _mn_column(mu)
+            assert set(col) <= parts, mu
+            assert all(type(lam) is tuple and col[lam] for lam in col)
