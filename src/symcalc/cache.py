@@ -5,17 +5,14 @@ checksum of the payload; corrupted or stale entries are detected, logged
 and recomputed.  Writes are atomic (temp file + rename), so concurrent
 readers on the same directory are safe.  All IO failures degrade to
 in-memory operation.
+
+Warnings go to the ``symcalc.cache`` logger.  ``logging`` loads on the
+first warning, ``json``, ``hashlib`` and ``tempfile`` on the first IO.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
 import os
-import tempfile
-
-log = logging.getLogger("symcalc.cache")
 
 FORMAT_VERSION = 1
 
@@ -30,7 +27,16 @@ def set_cache_dir(path) -> "PersistentCache | None":
 
 
 def _checksum(payload_text: str) -> str:
+    import hashlib
     return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+
+
+def _warn(msg: str, *args) -> None:
+    """Log a warning on ``symcalc.cache``.  As ``logging.warning()`` does,
+    give the root logger a stderr handler first if it has none."""
+    import logging
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("symcalc.cache").warning(msg, *args)
 
 
 class PersistentCache:
@@ -40,7 +46,7 @@ class PersistentCache:
             os.makedirs(self.directory, exist_ok=True)
             self.usable = True
         except OSError as exc:
-            log.warning("cache directory unusable (%s); using memory only", exc)
+            _warn("cache directory unusable (%s); using memory only", exc)
             self.usable = False
 
     def _path(self, kind: str, key: str) -> str:
@@ -51,6 +57,7 @@ class PersistentCache:
         """Return the stored payload, or None if absent or corrupted."""
         if not self.usable:
             return None
+        import json
         path = self._path(kind, key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -58,20 +65,22 @@ class PersistentCache:
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError) as exc:
-            log.warning("cache entry %s unreadable (%s); recomputing", path, exc)
+            _warn("cache entry %s unreadable (%s); recomputing", path, exc)
             return None
         if doc.get("version") != FORMAT_VERSION:
-            log.warning("cache entry %s has wrong version; recomputing", path)
+            _warn("cache entry %s has wrong version; recomputing", path)
             return None
         payload_text = json.dumps(doc.get("payload"), sort_keys=True)
         if doc.get("sha256") != _checksum(payload_text):
-            log.warning("cache entry %s failed checksum; recomputing", path)
+            _warn("cache entry %s failed checksum; recomputing", path)
             return None
         return doc["payload"]
 
     def put(self, kind: str, key: str, payload) -> None:
         if not self.usable:
             return
+        import json
+        import tempfile
         path = self._path(kind, key)
         payload_text = json.dumps(payload, sort_keys=True)
         doc = {"version": FORMAT_VERSION, "sha256": _checksum(payload_text),
@@ -82,7 +91,7 @@ class PersistentCache:
                 json.dump(doc, fh, sort_keys=True)
             os.replace(tmp, path)
         except OSError as exc:
-            log.warning("cache write to %s failed (%s); continuing", path, exc)
+            _warn("cache write to %s failed (%s); continuing", path, exc)
 
 
 def cached_table(kind: str, key: str, compute, encode, decode):

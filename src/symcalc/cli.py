@@ -1,27 +1,26 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse error, 3 evaluation error, 4 IO error.
+
+Each branch of ``_run`` imports its command's computation, so a process
+loads only the modules its one command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .apps import braid_poincare, endofunction_signature
 from .cache import set_cache_dir
-from .coeffs import TruncationError, format_coeff
-from .expr import EvalError, ParseError, evaluate, parse
+from .coeffs import EvalError, TruncationError, format_coeff
 from .partitions import partition
 from .render import (render_charpoly, render_symexpr, render_value,
                      term_sort_key)
-from .stable import character_polynomial, reduced_kron
 from .symfunc import SymExpr
-from .tables import SECTIONS, render_table
+from .tables import SECTIONS
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -102,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     out = sys.stdout
     if args.command == "eval":
+        from .expr import ParseError, evaluate, parse
         try:
             ast = parse(args.expression)
         except ParseError as exc:
@@ -121,15 +121,18 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "tables":
+        from .tables import render_table
         out.write(render_table(args.section, args.max_degree))
         return EXIT_OK
 
     if args.command == "braid":
+        from .apps import braid_poincare
         for i, ch in enumerate(braid_poincare(args.n)):
             out.write(f"H^{i}: {render_symexpr(ch, args.format)}\n")
         return EXIT_OK
 
     if args.command == "reduced-kron":
+        from .stable import reduced_kron
         coeffs = reduced_kron(args.lam, args.mu)
         for nu in sorted(coeffs, key=term_sort_key("asc")):
             if coeffs[nu]:
@@ -137,11 +140,13 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "charpoly":
+        from .stable import character_polynomial
         poly = character_polynomial(args.lam)
         out.write(render_charpoly(poly, args.format) + "\n")
         return EXIT_OK
 
     if args.command == "endofunctions":
+        from .apps import endofunction_signature
         sig = endofunction_signature(args.n)
         total = sum(sig.terms.values(), Fraction(0))
         out.write(f"{format_coeff(sig)}\n")
@@ -152,7 +157,6 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         # set on every call: an earlier in-process call's directory is not kept

@@ -25,6 +25,10 @@ class TruncationError(Exception):
     """A declared degree cap was exceeded where truncation is not sound."""
 
 
+class EvalError(Exception):
+    """An operator or function of an expression got the wrong argument."""
+
+
 _PARAM_RE = re.compile(r"^([a-zA-Z]+)(\d*)$")
 
 

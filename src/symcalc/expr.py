@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 
 from .alphabets import outer_plethysm, shift_alphabet
+from .coeffs import EvalError
 from .innerpleth import inner_plethysm
 from .stable import (CharPolynomial, StableChar, angle, character_polynomial,
                      dangle, evaluate_at_n, stable_inner_plethysm,
@@ -35,10 +36,6 @@ class ParseError(Exception):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class EvalError(Exception):
-    pass
 
 
 ATOMS = ("ts", "th", "tx", "s", "h", "e", "p", "m", "A", "P")

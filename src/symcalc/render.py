@@ -10,8 +10,6 @@ coefficient and the name.  ``coeffs.join_terms`` joins the term texts;
 
 from __future__ import annotations
 
-import json
-
 from .coeffs import ParamPoly, coeff_to_json, format_coeff, join_terms
 from .partitions import canonical_key, multiplicities
 from .stable import CharPolynomial, StableChar, to_angle_basis
@@ -32,6 +30,11 @@ def term_sort_key(order: str):
     if order == "lex":
         return lambda lam: lam
     raise ValueError(f"unknown term order {order!r}")
+
+
+def _json(obj) -> str:
+    import json
+    return json.dumps(obj, sort_keys=True)
 
 
 def _term(c, name: str, sep: str, latex: bool) -> str:
@@ -68,7 +71,7 @@ def render_terms(terms: dict, name, order: str, sep: str,
 
 def render_symexpr(f: SymExpr, fmt: str = "text", order: str = "desc") -> str:
     if fmt == "json":
-        return json.dumps(f.to_json(), sort_keys=True)
+        return _json(f.to_json())
     latex = fmt == "latex"
 
     def name(lam):
@@ -82,11 +85,10 @@ def render_stable(sc: StableChar, fmt: str = "text") -> str:
     coeffs = to_angle_basis(sc)
     if fmt == "json":
         items = sorted(coeffs.items(), key=lambda kv: canonical_key(kv[0]))
-        return json.dumps({"reduced": sc.reduced.to_json(),
-                           "angle_terms": [{"part": list(lam),
-                                            "coeff": coeff_to_json(c)}
-                                           for lam, c in items]},
-                          sort_keys=True)
+        return _json({"reduced": sc.reduced.to_json(),
+                      "angle_terms": [{"part": list(lam),
+                                       "coeff": coeff_to_json(c)}
+                                      for lam, c in items]})
     latex = fmt == "latex"
 
     def name(lam):
@@ -98,7 +100,7 @@ def render_stable(sc: StableChar, fmt: str = "text") -> str:
 
 def render_charpoly(cp: CharPolynomial, fmt: str = "text") -> str:
     if fmt == "json":
-        return json.dumps(cp.to_json(), sort_keys=True)
+        return _json(cp.to_json())
     latex = fmt == "latex"
 
     def name(nu):
@@ -119,5 +121,5 @@ def render_value(value, fmt: str = "text", order: str = "desc") -> str:
     if isinstance(value, CharPolynomial):
         return render_charpoly(value, fmt)
     if fmt == "json":
-        return json.dumps({"scalar": coeff_to_json(value)}, sort_keys=True)
+        return _json({"scalar": coeff_to_json(value)})
     return format_coeff(value, latex=(fmt == "latex"))

@@ -1,0 +1,197 @@
+"""The public API loads lazily and a CLI process imports only what its
+command runs; the cache's warnings keep their logger and their text."""
+
+import importlib
+import json
+import logging
+import os
+import subprocess
+import sys
+
+import pytest
+
+import symcalc
+from symcalc.cache import PersistentCache
+
+PUBLIC = {
+    "alphabets": ["invert_sigma", "lie_character", "outer_plethysm",
+                  "scale_alphabet", "shift_alphabet", "sigma_minus_one",
+                  "sigma_series"],
+    "apps": ["braid_poincare", "endofunction_signature", "gay_restriction",
+             "gay_restriction_perm", "littlewood_pair", "stable_cohomology",
+             "stable_weight_orbits", "weight_orbit_decomposition"],
+    "innerpleth": ["adams", "eigenvalue_eval", "graded_poly_char",
+                   "inner_plethysm", "perm_char"],
+    "stable": ["CharPolynomial", "StableChar", "angle", "character_polynomial",
+               "dangle", "evaluate_at_n", "reduced_kron",
+               "stable_inner_plethysm", "stable_kron", "tilde_h",
+               "tilde_h_expand", "tilde_s", "tilde_x", "to_angle_basis",
+               "transition", "vector_partition_count"],
+    "symfunc": ["SymExpr", "convert", "elem", "foulkes_derivative",
+                "hall_scalar", "homog", "internal", "lr_coefficient",
+                "mn_character", "mono", "multiply", "omega", "power",
+                "schur", "skew_schur"],
+}
+HOME = {name: module for module, names in PUBLIC.items() for name in names}
+NAMES = sorted(HOME)
+
+
+def _defined(name):
+    return getattr(importlib.import_module(f"symcalc.{HOME[name]}"), name)
+
+
+def test_all_lists_the_public_names():
+    assert len(NAMES) == 51
+    assert sorted(symcalc.__all__) == NAMES
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_public_name_is_the_defining_modules_object(name):
+    for _ in ("first use", "bound"):
+        assert getattr(symcalc, name) is _defined(name)
+
+
+def test_star_import_and_dir():
+    namespace = {}
+    exec("from symcalc import *", namespace)
+    for name in NAMES:
+        assert namespace[name] is _defined(name)
+    assert set(NAMES) <= set(dir(symcalc))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        symcalc.no_such_name
+
+
+# -- import footprint --------------------------------------------------------
+
+# Prints the modules a fresh process imported after start-up.
+PROBE = """import json, sys
+before = set(sys.modules)
+{body}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def _loaded(body):
+    env = dict(os.environ)
+    env.pop("SYMCALC_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _cli(argv):
+    return (f"from symcalc.cli import main\n"
+            f"if main({argv!r}):\n    sys.exit('exit code not 0')")
+
+
+def test_import_symcalc_loads_no_submodule():
+    loaded = _loaded("import symcalc")
+    assert "symcalc" in loaded
+    assert not [m for m in loaded if m.startswith("symcalc.")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--section", "perm-chars", "--max-degree", "3"],
+    ["reduced-kron", "--lambda", "2,1", "--mu", "1"]])
+def test_tables_and_reduced_kron_skip_expr_innerpleth_and_apps(argv):
+    loaded = _loaded(_cli(argv))
+    assert "symcalc.tables" in loaded
+    assert not loaded & {"symcalc.expr", "symcalc.innerpleth",
+                         "symcalc.apps"}
+
+
+def test_braid_skips_expr():
+    loaded = _loaded(_cli(["braid", "--n", "3"]))
+    assert "symcalc.apps" in loaded and "symcalc.expr" not in loaded
+
+
+def test_no_logging_without_a_cache_warning(tmp_path):
+    cache = str(tmp_path / "cache")
+    argv = ["--cache", cache, "tables", "--section", "h-on-tilde-h",
+            "--max-degree", "3"]
+    for _ in ("cold", "warm"):
+        assert "logging" not in _loaded(_cli(argv))
+    assert os.listdir(cache)
+    assert "logging" not in _loaded(_cli(["eval", "s[2,1] # s[2,1]"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "ihat(h[2], s[2,1])"],
+    ["tables", "--section", "h-on-tilde-h", "--max-degree", "3"]])
+def test_no_hashlib_without_a_cache(argv):
+    assert "hashlib" not in _loaded(_cli(argv))
+
+
+# -- the warning channel -----------------------------------------------------
+
+
+def test_corrupted_cache_warns_on_the_cache_logger(tmp_path):
+    cache = str(tmp_path / "cache")
+    argv = [sys.executable, "-m", "symcalc.cli", "--cache", cache, "tables",
+            "--section", "h-on-tilde-h", "--max-degree", "3"]
+    assert subprocess.run(argv, capture_output=True).returncode == 0
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name), "w") as fh:
+            fh.write("{ corrupted")
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines
+    assert all(line.startswith("WARNING symcalc.cache: cache entry ")
+               for line in lines)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def test_each_reject_is_one_record_on_the_cache_logger(tmp_path):
+    cache = PersistentCache(tmp_path)
+    for key in ("unreadable", "version", "checksum", "good"):
+        cache.put("kind", key, {"value": key})
+    with open(cache._path("kind", "unreadable"), "w") as fh:
+        fh.write("{ corrupted")
+    for key, change in (("version", {"version": -1}),
+                        ("checksum", {"sha256": "0" * 64})):
+        with open(cache._path("kind", key)) as fh:
+            doc = json.load(fh)
+        with open(cache._path("kind", key), "w") as fh:
+            json.dump(dict(doc, **change), fh)
+    handler = _Records()
+    logger = logging.getLogger("symcalc.cache")
+    logger.addHandler(handler)
+    try:
+        got = [cache.get("kind", key)
+               for key in ("unreadable", "version", "checksum", "good")]
+    finally:
+        logger.removeHandler(handler)
+    assert got == [None, None, None, {"value": "good"}]
+    assert [r.name for r in handler.records] == ["symcalc.cache"] * 3
+    messages = [r.getMessage() for r in handler.records]
+    assert all(m.endswith("; recomputing") for m in messages)
+    assert "unreadable" in messages[0]
+    assert "wrong version" in messages[1]
+    assert "failed checksum" in messages[2]
+
+
+def test_unusable_cache_dir_warning_keeps_its_text(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = str(blocker / "cache")
+    proc = subprocess.run([sys.executable, "-m", "symcalc.cli", "--cache",
+                           cache, "eval", "s[2]"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "s[2]\n")
+    assert proc.stderr.startswith("WARNING symcalc.cache: cache directory "
+                                  "unusable (")
+    assert proc.stderr.endswith(f"{cache!r}); using memory only\n")
+    assert proc.stderr.count("\n") == 1
