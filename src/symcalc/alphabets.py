@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
-from .coeffs import Coeff, ParamPoly, binomial_series_coeff, coeff_frobenius
-from .partitions import multiplicities, partitions_of, partitions_up_to
+from .coeffs import Coeff, ParamPoly, coeff_frobenius
+from .partitions import partitions_of
 from .symfunc import (SymExpr, _add_scaled, _class_sums, _class_values,
                       _from_class_sums, _from_class_values, _p_mult_basis,
                       _p_weights, _pair, multiply, power)
@@ -267,16 +267,3 @@ def invert_sigma(cap: int) -> TruncatedSeries:
         (k,) * j: Fraction(_mobius(k) * (-1) ** (j + 1), k * j)
         for k in range(1, cap + 1) for j in range(1, cap // k + 1)}), cap)
 
-
-def binomial_exp_product(exponents, cap: int) -> TruncatedSeries:
-    """prod_{i>=1} (1+p_i)^{a_i} with binomial-element exponents a_i.
-
-    ``exponents[i-1]`` is the exponent of (1+p_i); the X-degree is
-    truncated at ``cap``.  The coefficient of p_nu is
-    prod_i C(a_i, m_i(nu)), one binomial per cycle length i of nu.
-    """
-    a = list(exponents)
-    return TruncatedSeries(SymExpr("p", {
-        nu: prod(binomial_series_coeff(a[i - 1], m)
-                 for i, m in multiplicities(nu).items())
-        for nu in partitions_up_to(cap) if not nu or nu[0] <= len(a)}), cap)

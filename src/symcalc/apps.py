@@ -7,20 +7,27 @@ for g = h_k or a weight alphabet t_0 + t_1 h_1 + ... cut at the degree of
 f; the answer is then read out in the basis asked for.  The endofunction
 count is the trace of that map for g = 1 + t_1 h_1 + ..., read off the
 same tail tree.
+
+Pure braid cohomology is the Lehrer-Solomon decomposition
+ch H^i(P_n) = omega sum_{lam |- n, len(lam) = n-i} prod_j e_{m_j}[Lie_j],
+m_j the multiplicity of j in lam, summed in p and read out in s.  The
+parts equal to 1 give e_{m_1}[Lie_1] = e_{m_1}, which omega turns into
+h_{m_1}: over all n that is the sigma_1 factor of the stable character,
+whose reduced part is the same sum over the lam with no part 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 
-from .alphabets import (_mobius, _pleth_adjoint, _pleth_pairing, _shared_tail,
-                        binomial_exp_product, lie_character, outer_plethysm,
-                        sigma_series)
+from .alphabets import (_pleth_adjoint, _pleth_pairing, _shared_tail,
+                        lie_character, outer_plethysm, sigma_series)
 from .coeffs import Coeff, ParamPoly
-from .partitions import partitions_of
+from .partitions import multiplicities, partitions_of
 from .stable import StableChar
-from .symfunc import SymExpr, convert, elem, homog, multiply, power, schur
+from .symfunc import SymExpr, convert, elem, homog, multiply, omega, schur
 
 
 def littlewood_pair(f: SymExpr, g: SymExpr, cap: int) -> Coeff:
@@ -100,71 +107,40 @@ def endofunction_signature(n: int) -> ParamPoly:
     return trace * Fraction(1, factorial(n))
 
 
-def _necklace_poly(i: int, cap: int) -> ParamPoly:
-    """ell_i(t) = (1/i) sum_{d | i} mu(d) t^{i/d} in the parameter t."""
-    terms = {}
-    for d in range(1, i + 1):
-        if i % d == 0:
-            m = _mobius(d)
-            if m:
-                terms[(i // d,)] = terms.get((i // d,), 0) + Fraction(m, i)
-    return ParamPoly(("t",), {e: c for e, c in terms.items() if c},
-                     {"t": cap})
+def _lie_product(lam) -> SymExpr:
+    """prod_j e_{m_j}[Lie_j] over the distinct parts j of lam, m_j their
+    multiplicities, in p: the Lehrer-Solomon summand of lam."""
+    return reduce(multiply, (outer_plethysm(convert(elem([m]), "p"),
+                                            lie_character(j))
+                             for j, m in multiplicities(lam).items()))
 
 
 def braid_poincare(n: int) -> list:
-    """ch_t H^*(P_n): entry i is the characteristic of H^i(P_n; C).
-
-    The generating identity sum_i (-t)^i ch H^{n-i} = degree-n part of
-    prod_{k>=1} (1+p_k)^{ell_k(t)} (t a binomial element) is re-indexed
-    so that entry i matches H^i.
-    """
+    """ch H^*(P_n): entry i is the characteristic of H^i(P_n; C),
+    omega sum_{lam |- n, len(lam) = n - i} prod_j e_{m_j}[Lie_j]
+    (Lehrer-Solomon), in s."""
     if n < 1:
         raise ValueError("n must be positive")
-    exponents = [_necklace_poly(i, n) for i in range(1, n + 1)]
-    series = binomial_exp_product(exponents, n).expr.homogeneous_component(n)
-    series = convert(series, "s")
-    out = [SymExpr("s") for _ in range(n)]
-    for lam, c in series.terms.items():
-        if not isinstance(c, ParamPoly):
-            c = ParamPoly.const(c, ("t",))
-        for exps, v in c.terms.items():
-            j = exps[0] if exps else 0
-            i = n - j
-            if 0 <= i < n:
-                out[i] = out[i] + schur(lam) * (v * Fraction(-1) ** i)
-    return out
+    sums = [SymExpr("p") for _ in range(n)]
+    for lam in partitions_of(n):
+        sums[n - len(lam)] += _lie_product(lam)
+    return [convert(omega(f), "s") for f in sums]
 
 
 def stable_cohomology(i: int) -> StableChar:
     """The stable character of H^i(P_n; C) for all n at once.
 
-    Coefficient of t^i in prod_{k>=2} sum_j (-1)^j t^{j(k-1)}
-    e_j[ell_k(-X)], times (-1)^i, with sigma_1 factored out; the X-degree
-    of the t^i coefficient is bounded by 2i.
+    The Lehrer-Solomon sum of ``braid_poincare`` over the lam with no
+    part 1 and |lam| - len(lam) = i (so |lam| <= 2i): the parts equal to
+    1 contribute e_{m_1}, which omega turns into the sigma_1 factor.
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
     if i == 0:
         return StableChar(SymExpr("h", {(): Fraction(1)}))
-    xcap = 2 * i
-    one = ParamPoly.const(1, ("t",), {"t": i})
-    acc = SymExpr("p", {(): one})
-    for k in range(2, i + 2):
-        lk = outer_plethysm(lie_character(k), -power([1]))
-        factor = SymExpr("p", {(): one})
-        j = 1
-        while j * (k - 1) <= i:
-            ej = outer_plethysm(elem([j]), lk).truncate(xcap)
-            marker = ParamPoly(("t",), {(j * (k - 1),): Fraction(-1) ** j},
-                               {"t": i})
-            factor = factor + convert(ej, "p") * marker
-            j += 1
-        acc = multiply(acc, factor, xcap)
-    reduced = SymExpr("s")
-    for lam, c in convert(acc, "s").terms.items():
-        if isinstance(c, ParamPoly):
-            v = c.terms.get((i,))
-            if v:
-                reduced = reduced + schur(lam) * (v * Fraction(-1) ** i)
-    return StableChar(reduced)
+    total = SymExpr("p")
+    for d in range(i + 1, 2 * i + 1):
+        for lam in partitions_of(d):
+            if lam[-1] > 1 and d - len(lam) == i:
+                total += _lie_product(lam)
+    return StableChar(convert(omega(total), "s"))

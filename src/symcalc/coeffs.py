@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Union
 
 Coeff = Union[Fraction, "ParamPoly"]
@@ -297,22 +296,6 @@ def as_fraction(c: Coeff) -> Fraction:
     if isinstance(c, ParamPoly):
         return c.constant_value()
     return Fraction(c)
-
-
-def binomial_series_coeff(a: Coeff, k: int) -> Coeff:
-    """a(a-1)...(a-k+1)/k!: coefficient of u^k in (1+u)^a.
-
-    ``a`` is treated as a binomial element, so this works for ParamPoly
-    exponents like t or (t^2-t)/2.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if isinstance(a, int):
-        a = Fraction(a)
-    result: Coeff = Fraction(1)
-    for i in range(k):
-        result = result * (a - i)
-    return result * Fraction(1, factorial(k))
 
 
 # -- JSON helpers ------------------------------------------------------

@@ -406,19 +406,21 @@ def _p_weights(f: SymExpr):
 @lru_cache(maxsize=None)
 def _p_in_basis(target: str, nu: tuple):
     """p_nu = sum_lam a_lam b_lam in ``target``, as int pairs (lam, a_lam):
-    MN characters for s (the items of ``_mn_column(nu)``, not a copy),
-    [h_lam]p_nu for h (omega sign for e), and for m the transpose of the h
-    class rows, [m_lam]p_nu = <p_nu, h_lam>."""
+    MN characters for s and [h_lam]p_nu for h (the items of
+    ``_mn_column(nu)`` and ``_p_in_h(nu)``, not copies), the latter with
+    the omega sign for e, and for m the transpose of the h class rows,
+    [m_lam]p_nu = <p_nu, h_lam>."""
     if target == "s":
         return _mn_column(nu).items()
-    n = sum(nu)
+    if target == "h":
+        return _p_in_h(nu).items()
     if target == "m":
         col = ((lam, _class_row("h", lam).get(nu, 0))
-               for lam in partitions_of(n))
+               for lam in partitions_of(sum(nu)))
     elif target == "p":
         col = ((nu, 1),)
     else:
-        sign = _omega_sign(nu) if target == "e" else 1
+        sign = _omega_sign(nu)
         col = ((lam, sign * v) for lam, v in _p_in_h(nu).items())
     return tuple((lam, v) for lam, v in col if v)
 

@@ -1,14 +1,14 @@
 from fractions import Fraction
 
-from symcalc.alphabets import (TruncatedSeries, binomial_exp_product,
-                               invert_sigma, lie_character, outer_plethysm,
-                               scale_alphabet, shift_alphabet,
+from symcalc.alphabets import (TruncatedSeries, invert_sigma, lie_character,
+                               outer_plethysm, scale_alphabet, shift_alphabet,
                                sigma_minus_one, sigma_series)
-from symcalc.apps import _necklace_poly
-from symcalc.coeffs import ParamPoly, as_fraction, binomial_series_coeff
+from symcalc.coeffs import ParamPoly, as_fraction
 from symcalc.partitions import partitions_up_to
 from symcalc.symfunc import (SymExpr, elem, hall_scalar, homog, mono, multiply,
                              power, schur)
+from test_braid_lehrer_solomon import (_necklace_poly, binomial_exp_product,
+                                      binomial_series_coeff)
 
 
 def test_plethysm_p_substitution():

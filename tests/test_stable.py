@@ -6,7 +6,7 @@ import pytest
 from symcalc.alphabets import (outer_plethysm, shift_alphabet,
                                sigma_minus_one, sigma_series)
 from symcalc.apps import stable_weight_orbits
-from symcalc.innerpleth import inner_plethysm, perm_char
+from symcalc.innerpleth import eigenvalue_eval, inner_plethysm, perm_char
 from symcalc.partitions import (horizontal_strip_subshapes, partitions_of,
                                 partitions_up_to)
 from symcalc.stable import (CharPolynomial, StableChar, angle,
@@ -17,9 +17,9 @@ from symcalc.stable import (CharPolynomial, StableChar, angle,
                             tilde_h_expand, tilde_s, tilde_x, to_angle_basis,
                             transition, vector_partition_count)
 from symcalc.stable import _pleth_columns
-from symcalc.symfunc import (SymExpr, hall_scalar, homog, internal,
-                             lr_coefficient, mn_character, mono, multiply,
-                             power, schur)
+from symcalc.symfunc import (SymExpr, char_value, hall_scalar, homog,
+                             internal, lr_coefficient, mn_character, mono,
+                             multiply, power, schur)
 
 
 def test_straighten():
@@ -492,3 +492,15 @@ def test_char_polynomial_rejects_non_integer_coefficients():
     poly = CharPolynomial({(1,): Fraction(4, 2), (2,): 0, (3,): 1.0, (): 0.0})
     assert poly.terms == {(1,): 2, (3,): 1}
     assert all(type(c) is int for c in poly.terms.values())
+
+
+def test_tilde_s_evaluates_to_the_straightened_character():
+    # Orellana-Zabrocki: s~_lam at the eigenvalues of a permutation of type
+    # mu |- n is chi^rho(mu), with eps s_rho the straightened s_{(n-|lam|, lam)}
+    for lam in partitions_up_to(4):
+        f = tilde_s(lam)
+        for n in range(9):
+            st = straighten_schur((n - sum(lam), *lam))
+            for mu in partitions_of(n):
+                want = 0 if st is None else st[0] * char_value(st[1], mu)
+                assert eigenvalue_eval(f, mu) == want, (lam, mu)
