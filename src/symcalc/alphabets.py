@@ -10,9 +10,10 @@ arithmetic; their product is the class-sum product ``multiply`` cut at
 the smaller cap, and ``scale_alphabet`` scales each class sum N(nu) by
 the q-factor of nu.  The readout ``outer_plethysm``, the pairing
 ``_pleth_pairing`` and the adjoint of plethysm f -> sum_mu <f, m_mu[g]>
-h_mu, ``_pleth_adjoint`` (the Gay restrictions, weight orbits and tilde
-rows), share one tail kernel, ``_tails``, and all but the tilde rows the
-trees of the last 8 exact (g, cap) through ``_shared_tail``.
+h_mu, ``_pleth_adjoint`` (the Gay restrictions, weight orbits and the
+tilde rows of T), share one tail kernel, ``_tails``, and all but the
+tilde rows the trees of the last 8 exact (g, cap) through
+``_shared_tail``.
 """
 
 from __future__ import annotations
@@ -136,9 +137,10 @@ def _tails(g: SymExpr, cap):
     ``_shared_tail`` shares trees (``_shared_tails``, lru_cache, 8 trees)
     keyed by g's basis, its ordered (lam, c, ``_exact(c)``) and the cap:
     term order and coefficient types of g show in the results.  The tilde
-    rows (``stable._pleth_columns``) use each tree once and at degree 14
-    are the largest objects in the process, so in the memo they would
-    only raise the peak memory; they build their own.  Tails are read-only.
+    rows of T (``stable._pleth_columns`` on M; those of T^-1 are values,
+    not tails) use each tree once and at degree 14 are the largest
+    objects in the process, so in the memo they would only raise the
+    peak memory; they build their own.  Tails are read-only.
 
     Products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
     ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, and a p_k[g]

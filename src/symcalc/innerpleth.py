@@ -6,11 +6,13 @@ permutation matrix.
 
 Adams operations and inner plethysm are pointwise on cycle types: they
 read and write the character values chi_f(nu) = <f, p_nu> of
-``symfunc._class_values``, ints for integral f.  Inner plethysm and
-eigenvalue evaluation sum g's power-sum terms with int weights L [p_mu]g,
-L = (deg g)!, and divide by L once (``_eval_power_sums``), at
+``symfunc._class_values``, ints for integral f.  The Adams operation
+psi_k f is the inner plethysm p_k^[f].  Inner plethysm and eigenvalue
+evaluation sum g's power-sum terms with int weights L [p_mu]g,
+L = (deg g)!, and divide by L once (``symfunc._eval_power_sums``), at
 v(k) = chi_f(psi_k nu) for g^[f] and at v(r) = sum_{d | r} d m_d(mu)
-for g(Omega_mu).
+for g(Omega_mu).  The parameters of f are scalars here, while
+``stable.stable_inner_plethysm`` raises them to the k-th power at p_k.
 """
 
 from __future__ import annotations
@@ -19,44 +21,18 @@ from .alphabets import scale_alphabet
 from .coeffs import Coeff
 from .partitions import (multiplicities, partition, partitions_of,
                          power_cycle_type)
-from .symfunc import (SymExpr, _class_values, _from_class_values, _over,
-                      _p_weights, homog)
+from .symfunc import (SymExpr, _class_values, _eval_power_sums,
+                      _from_class_values, _over, _p_weights, homog, power)
 
 
 def adams(f: SymExpr, k: int) -> SymExpr:
-    """Adams operation: the character tau -> chi_f(tau^k).
-
-    A reindex of the character values: nu -> chi_f(psi_k(nu)).
-    """
+    """Adams operation: the character tau -> chi_f(tau^k), the inner
+    plethysm p_k^[f]."""
     if k < 1:
         raise ValueError("k must be positive")
     if not f.is_homogeneous():
         raise ValueError("adams requires a homogeneous input")
-    chi = _class_values(f)
-    out = {}
-    for nu in partitions_of(f.degree()):
-        src = power_cycle_type(nu, k)
-        if src in chi:
-            out[nu] = chi[src]
-    return _from_class_values(out, f.basis)
-
-
-def _eval_power_sums(weights, value):
-    """sum_mu w_mu prod_{k in mu} value(k), with value(k) computed once
-    per k; ints for int weights and values."""
-    values: dict = {}
-    total = 0
-    for mu, w in weights:
-        for k in mu:
-            v = values.get(k)
-            if v is None:
-                v = values[k] = value(k)
-            w = w * v
-            if not w:
-                break
-        else:
-            total = total + w
-    return total
+    return inner_plethysm(power([k]), f)
 
 
 def inner_plethysm(g: SymExpr, f: SymExpr) -> SymExpr:

@@ -9,16 +9,24 @@ Stable (reduced) Kronecker products, character polynomials, the tilde
 bases s~/h~/x~ with their transition matrices, coproducts and mixed
 products all live here.
 
-A stable character is a character polynomial: sigma_1 f at cycle
-multiplicities m_i is sum_nu chi_f(nu) prod_i C(m_i, n_i(nu)).  So
-``stable_kron`` multiplies on this binomial basis, by
-    C(m, p) C(m, q) = sum_j (p+q-j)! / (j! (p-j)! (q-j)!) C(m, p+q-j).
+A stable character is a character polynomial: at cycle type beta,
+sigma_1 f is V(beta) = sum_kappa chi_f(kappa) prod_i C(m_i(beta), n_i(kappa))
+(``_binomial_value``).  So ``stable_kron`` multiplies on this binomial
+basis, by
+    C(m, p) C(m, q) = sum_j (p+q-j)! / (j! (p-j)! (q-j)!) C(m, p+q-j),
+and chi_f is the forward difference of V on sub-multisets beta of kappa,
+    chi_f(kappa) = sum_beta prod_i (-1)^(n_i(kappa)-n_i(beta))
+                   C(n_i(kappa), n_i(beta)) V(beta)
+(``_from_values``): what is pointwise at every n, such as inner
+plethysm, is pointwise in the stable range.
 
 The tilde layer is one linear map T: h_mu -> h~_mu and its inverse.
 Let H = sigma_1 - 1 and M its plethystic inverse (H o M = p_1).  T^-1
 is the adjoint of g -> g[H] and T that of g -> g[M], so on class values
     chi_{T^-1 f}(rho) = <f, p_rho[H]>,   chi_{T f}(rho) = <f, p_rho[M]>,
 and h_lam = sum_mu c_lam^mu h~_mu with c_lam^mu = <h_lam, m_mu[H]>.
+T^-1 f = f^[<<1>>], so the rows of T^-1 are read off the values
+h_lam(Omega_beta) of h_lam^[<<1>>]; only T is an adjoint of plethysm.
 """
 
 from __future__ import annotations
@@ -26,18 +34,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .alphabets import (_pleth_adjoint, _tails, invert_sigma, outer_plethysm,
-                        shift_alphabet, sigma_minus_one)
+from .alphabets import _pleth_adjoint, _tails, invert_sigma, shift_alphabet
 from .cache import cached_table
-from .coeffs import as_fraction
+from .coeffs import as_fraction, coeff_frobenius
 from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
-                         partitions_up_to)
+                         partitions_up_to, power_cycle_type)
 from .symfunc import (SymExpr, _add_scaled, _as_int, _class_values,
-                      _from_class_values, convert, foulkes_derivative, homog,
-                      schur)
+                      _eval_power_sums, _from_class_values, _p_weights,
+                      convert, foulkes_derivative, homog, schur)
 
 
 class StableChar:
@@ -151,6 +158,39 @@ def _binomial_product(nu: tuple, rho: tuple) -> tuple:
     return tuple(out.items())
 
 
+def _binomial_value(chi: dict, mults: dict):
+    """sum_kappa chi(kappa) prod_i C(m_i, n_i(kappa)): sigma_1 f at cycle
+    multiplicities {i: m_i}, for chi the class values of f."""
+    total = 0
+    for kappa, c in chi.items():
+        for i, n_i in multiplicities(kappa).items():
+            c = c * comb(mults.get(i, 0), n_i)
+        total = total + c
+    return total
+
+
+@lru_cache(maxsize=None)
+def _difference_weights(kappa: tuple) -> tuple:
+    """(beta, w) over the sub-multisets beta of kappa, with
+    w = prod_i (-1)^(n_i(kappa)-n_i(beta)) C(n_i(kappa), n_i(beta)): the
+    inverse of ``_binomial_value``, chi(kappa) = sum w V(beta)."""
+    out = (((), 1),)
+    for i, n in multiplicities(kappa).items():
+        out = tuple((beta + (i,) * j, w * (-1) ** (n - j) * comb(n, j))
+                    for beta, w in out for j in range(n + 1))
+    return out
+
+
+def _from_values(value, d: int, scale: int = 1) -> SymExpr:
+    """The reduced part, in h, of the stable character of degree <= d with
+    the values value(beta) / scale at the cycle types beta |- <= d: their
+    forward differences, read out once."""
+    vals = {beta: value(beta) for beta in partitions_up_to(d)}
+    return _from_class_values(
+        {kappa: sum(w * vals[beta] for beta, w in _difference_weights(kappa))
+         for kappa in partitions_up_to(d)}, "h", scale)
+
+
 def to_angle_basis(sc: StableChar) -> dict:
     """Expand on the filtered family {s_nu(X-1)}: coefficients of <nu>.
 
@@ -199,13 +239,7 @@ class CharPolynomial:
 
     def evaluate(self, mults: dict) -> int:
         """Value at cycle multiplicities {i: m_i}."""
-        total = 0
-        for nu, c in self.terms.items():
-            val = c
-            for i, n_i in multiplicities(nu).items():
-                val *= comb(mults.get(i, 0), n_i)
-            total += val
-        return total
+        return _binomial_value(self.terms, mults)
 
     def eval_cycle_type(self, mu) -> int:
         return self.evaluate(multiplicities(partition(mu)))
@@ -235,9 +269,6 @@ def character_polynomial(lam) -> CharPolynomial:
 # ---------------------------------------------------------------------------
 # the tilde bases: every tilde function is T or T^-1
 
-_SERIES = {"H": sigma_minus_one, "M": invert_sigma}
-
-
 def _pkey(lam) -> str:
     return ",".join(map(str, lam))
 
@@ -248,11 +279,23 @@ def _punkey(s: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pleth_columns(series: str, d: int) -> dict:
-    """{lam: {mu: <h_lam, m_mu[S]>}} for lam |- d: row lam is T^-1(h_lam)
-    for S = H and T(h_lam) for S = M: ``_pleth_adjoint`` of h_lam over
-    |mu| <= d, all rows on one ``_tails`` tree of S, not ``_shared_tail``."""
+    """{lam: {mu: <h_lam, m_mu[S]>}} for lam |- d.  For S = H row lam is
+    T^-1(h_lam) = h_lam^[<<1>>], ``_from_values`` of prod_j
+    h_{lam_j}(Omega_beta), one count per beta for all rows.  For S = M it
+    is T(h_lam), ``_pleth_adjoint`` of h_lam over |mu| <= d, all rows on
+    one ``_tails`` tree of M, not ``_shared_tail``."""
     def compute():
-        s = _SERIES[series](max(d, 1))   # invert_sigma needs cap >= 1
+        if series == "H":   # h_k(Omega_beta) = #{a >= 0: sum_i beta_i a_i = k}
+            counts = {}
+            for beta in partitions_up_to(d):
+                h = counts[beta] = [1] + [0] * d
+                for b in beta:
+                    for k in range(b, d + 1):
+                        h[k] += h[k - b]
+            return {lam: _from_values(
+                        lambda beta: prod(counts[beta][j] for j in lam), d
+                    ).terms for lam in partitions_of(d)}
+        s = invert_sigma(max(d, 1))   # invert_sigma needs cap >= 1
         tail = _tails(s.expr, s.cap)
         return {lam: _pleth_adjoint(homog(lam), tail, range(d + 1)).terms
                 for lam in partitions_of(d)}
@@ -307,11 +350,20 @@ def tilde_h_expand(f: SymExpr) -> dict:
 def stable_inner_plethysm(g: SymExpr, sc: StableChar) -> StableChar:
     """g^[sc]: apply the lambda-ring operation g to a whole stable family.
 
-    F = T(sc.reduced) satisfies F^[h_{n-1,1}] = evaluate_at_n(sc, n);
-    compose G = g o F by outer plethysm and read G back through T^-1.
+    Pointwise on cycle types: at beta it is g with p_k -> V_k(psi_k beta),
+    V_k the value (``_binomial_value``) of sc with its parameters raised
+    to the k-th power, as p_k raises them in outer plethysm.  Its reduced
+    part has degree <= deg g * deg sc and is read off these values by
+    ``_from_values``, with g's int weights of ``_p_weights`` over (deg g)!.
     """
-    return StableChar(_adjoint(outer_plethysm(g, _adjoint(sc.reduced, "M")),
-                               "H"))
+    chi = _class_values(sc.reduced)
+    big, weights = _p_weights(g)
+    twisted = {k: {kappa: coeff_frobenius(c, k) for kappa, c in chi.items()}
+               for k in {k for mu, _ in weights for k in mu}}
+    return StableChar(_from_values(
+        lambda beta: _eval_power_sums(weights, lambda k: _binomial_value(
+            twisted[k], multiplicities(power_cycle_type(beta, k)))),
+        g.degree() * sc.reduced.degree(), big))
 
 
 def transition(kind: str, degree_cap: int) -> dict:

@@ -403,16 +403,36 @@ def _p_weights(f: SymExpr):
                  for mu, c in _class_values(f).items()]
 
 
+def _eval_power_sums(weights, value):
+    """sum_mu w_mu prod_{k in mu} value(k) over the weights of
+    ``_p_weights``, with value(k) computed once per k; ints for int
+    weights and values."""
+    values: dict = {}
+    total = 0
+    for mu, w in weights:
+        for k in mu:
+            v = values.get(k)
+            if v is None:
+                v = values[k] = value(k)
+            w = w * v
+            if not w:
+                break
+        else:
+            total = total + w
+    return total
+
+
 @lru_cache(maxsize=None)
 def _p_in_basis(target: str, nu: tuple):
     """p_nu = sum_lam a_lam b_lam in ``target``, as int pairs (lam, a_lam):
-    MN characters for s and [h_lam]p_nu for h (the items of
-    ``_mn_column(nu)`` and ``_p_in_h(nu)``, not copies), the latter with
-    the omega sign for e, and for m the transpose of the h class rows,
+    MN characters for s and [h_lam]p_nu for h and for e with
+    omega(p_nu) = p_nu (the items of ``_mn_column(nu)`` and
+    ``_p_in_h(nu)``, not copies), a sign-flipped tuple of the latter for
+    the other e columns, and for m the transpose of the h class rows,
     [m_lam]p_nu = <p_nu, h_lam>."""
     if target == "s":
         return _mn_column(nu).items()
-    if target == "h":
+    if target == "h" or target == "e" and _omega_sign(nu) == 1:
         return _p_in_h(nu).items()
     if target == "m":
         col = ((lam, _class_row("h", lam).get(nu, 0))
@@ -420,8 +440,7 @@ def _p_in_basis(target: str, nu: tuple):
     elif target == "p":
         col = ((nu, 1),)
     else:
-        sign = _omega_sign(nu)
-        col = ((lam, sign * v) for lam, v in _p_in_h(nu).items())
+        col = ((lam, -v) for lam, v in _p_in_h(nu).items())
     return tuple((lam, v) for lam, v in col if v)
 
 
