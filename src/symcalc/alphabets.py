@@ -2,18 +2,15 @@
 
 Conventions: p_k applied to an expression substitutes p_j -> p_{jk} and
 raises every formal parameter to the k-th power; rational scalars are
-fixed (they are binomial elements), so the alphabet shift f(X+-1) is the
-plethysm f[p_1 +- 1] and the negation f(-X) is f[-p_1].  Infinite series
-(sigma_1, sigma_1-1, the inverse -L(-X)) are carried as
-``TruncatedSeries`` with an explicit degree cap that only shrinks under
-arithmetic; their product is the class-sum product ``multiply`` cut at
-the smaller cap, and ``scale_alphabet`` scales each class sum N(nu) by
-the q-factor of nu.  The readout ``outer_plethysm``, the pairing
+fixed (they are binomial elements), so f(X+-1) is f[p_1 +- 1] and f(-X)
+is f[-p_1].  Infinite series (sigma_1, sigma_1-1, -L(-X)) are
+``TruncatedSeries`` with a degree cap that only shrinks under arithmetic;
+their product is ``multiply`` cut at the smaller cap.  ``outer_plethysm``,
 ``_pleth_pairing`` and the adjoint of plethysm f -> sum_mu <f, m_mu[g]>
-h_mu, ``_pleth_adjoint`` (the Gay restrictions, weight orbits and the
-tilde rows of T), share one tail kernel, ``_tails``, and all but the
-tilde rows the trees of the last 8 exact (g, cap) through
-``_shared_tail``.
+h_mu, ``_pleth_adjoint``, share one tail kernel, ``_tails``, and all but
+the tilde rows the trees of the last 8 exact (g, cap) (``_shared_tail``).
+The tails p_a[g] are products, keyed by partitions: their class sums
+enter the lists of ``symfunc`` by ``_vectors``; pairings meet them keyed.
 """
 
 from __future__ import annotations
@@ -24,9 +21,9 @@ from math import factorial
 
 from .coeffs import Coeff, ParamPoly, coeff_frobenius
 from .partitions import partitions_of
-from .symfunc import (SymExpr, _add_scaled, _class_sums, _class_values,
-                      _from_class_sums, _from_class_values, _p_mult_basis,
-                      _p_weights, _pair, multiply, power)
+from .symfunc import (SymExpr, _class_sums, _class_values, _from_class_sums,
+                      _from_class_values, _keyed, _over, _p_mult_basis,
+                      _p_weights, _vectors, multiply, power)
 
 
 class TruncatedSeries:
@@ -85,30 +82,36 @@ def outer_plethysm(f: SymExpr, g):
 
 
 def _pleth_pairing(h: SymExpr, f: SymExpr, g) -> Coeff:
-    """<h, f o g>, paired on the class sums of f o g with no readout."""
-    sums, big, _ = _pleth_sums(f, g)
-    return _pair(_class_values(h), sums, big)
+    """<h, f o g>, with no readout: the nonzero class values of h, keyed
+    by partitions, against the class sums sum_a [p_a]f p_a[g] there."""
+    g, cap = (g.expr, g.cap) if isinstance(g, TruncatedSeries) else (g, None)
+    tail, (bf, weights) = _shared_tail(g, cap), _p_weights(f)
+    tails, bh = [(w, tail(a)) for a, w in weights], factorial(h.degree())
+    return _over(sum(c * (bh // factorial(sum(nu))) * s
+                     for nu, c in _keyed(_class_values(h))
+                     if (s := sum([w * t[nu] for w, t in tails if nu in t]))),
+                 bf * bh)
 
 
 def _pleth_sums(f: SymExpr, g):
     """(N, L, cap): L times the class sums N(nu) = |nu|! [p_nu](f o g),
     ints for integral f and g, and the cap of g (None for a SymExpr)."""
     g, cap = (g.expr, g.cap) if isinstance(g, TruncatedSeries) else (g, None)
-    tail = _shared_tail(g, cap)
-    big, weights = _p_weights(f)
-    out: dict = {}
-    for alpha, w in weights:
-        _add_scaled(out, w, tail(alpha).items())
-    return out, big, cap
+    tail, (big, weights) = _shared_tail(g, cap), _p_weights(f)
+    return _vectors((nu, w * v) for alpha, w in weights
+                    for nu, v in tail(alpha).items()), big, cap
 
 
 def _pleth_adjoint(f: SymExpr, tail, degrees) -> SymExpr:
     """sum_mu <f, m_mu[g]> h_mu over mu of the given sizes, g that of
     ``tail`` (over all mu of a size, sum <f, s_mu[g]> s_mu): one h readout
     of chi(rho) = <f, p_rho[g]>, as p_rho = sum_mu <p_rho, h_mu> m_mu."""
-    chi = _class_values(f)
-    return _from_class_values({rho: _pair(chi, tail(rho)) for n in degrees
-                               for rho in partitions_of(n)}, "h")
+    big = factorial(f.degree())   # the lists hold big chi(rho), int sums
+    chi = [(nu, c * (big // factorial(sum(nu))))
+           for nu, c in _keyed(_class_values(f))]
+    return _from_class_values({n: [sum([w * t[nu] for nu, w in chi if nu in t])
+                                   for t in map(tail, partitions_of(n))]
+                               for n in degrees}, "h", big)
 
 
 def _shared_tail(g: SymExpr, cap):
@@ -146,7 +149,7 @@ def _tails(g: SymExpr, cap):
     ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, and a p_k[g]
     that the cap leaves constant scales the tail instead of multiplying it.
     """
-    gsums = _class_sums(g)
+    gsums = _keyed(_class_sums(g))
     powers: dict = {}
     tails: dict = {(): {(): 1}}
 
@@ -157,7 +160,7 @@ def _tails(g: SymExpr, cap):
             if k not in powers:   # p_k: N(nu) -> (k|nu|)!/|nu|! N(nu) at k nu
                 powers[k] = {tuple(x * k for x in nu): coeff_frobenius(c, k)
                              * (factorial(k * sum(nu)) // factorial(sum(nu)))
-                             for nu, c in gsums.items()
+                             for nu, c in gsums
                              if cap is None or k * sum(nu) <= cap}
             pk, rest = powers[k], tail(alpha[1:])
             if len(pk) == 1 and () in pk:
@@ -192,8 +195,8 @@ def scale_alphabet(f: SymExpr, mode: str, qcap: int) -> SymExpr:
     if mode not in ("(1-q)X", "X/(1-q)"):
         raise ValueError(f"unknown mode {mode!r}")
     caps = {"q": qcap}
-    out: dict = {}
-    for nu, c in _class_sums(f).items():
+    out = []
+    for nu, c in _keyed(_class_sums(f)):
         factor = ParamPoly.const(1, ("q",), caps)
         for k in nu:
             if mode == "(1-q)X":
@@ -202,8 +205,8 @@ def scale_alphabet(f: SymExpr, mode: str, qcap: int) -> SymExpr:
                 fk = ParamPoly(("q",),
                                {(j,): 1 for j in range(0, qcap + 1, k)}, caps)
             factor = factor * fk
-        out[nu] = c * factor
-    return _from_class_sums(out, f.basis)
+        out.append((nu, c * factor))
+    return _from_class_sums(_vectors(out), f.basis)
 
 
 def sigma_series(kind: str = "sigma", sign: int = 1, cap: int = 6) -> TruncatedSeries:

@@ -4,23 +4,22 @@ Adams operations, inner plethysm g^[f], permutation-module
 characteristics and evaluation on the eigenvalue alphabet of a
 permutation matrix.
 
-Adams operations and inner plethysm are pointwise on cycle types: they
-read and write the character values chi_f(nu) = <f, p_nu> of
-``symfunc._class_values``, ints for integral f.  The Adams operation
-psi_k f is the inner plethysm p_k^[f].  Inner plethysm and eigenvalue
-evaluation sum g's power-sum terms with int weights L [p_mu]g,
-L = (deg g)!, and divide by L once (``symfunc._eval_power_sums``), at
-v(k) = chi_f(psi_k nu) for g^[f] and at v(r) = sum_{d | r} d m_d(mu)
-for g(Omega_mu).  The parameters of f are scalars here, while
-``stable.stable_inner_plethysm`` raises them to the k-th power at p_k.
+Inner plethysm is pointwise on cycle types, a zip over the classes nu of
+the character values chi_f(psi_k nu) (lists over ``partitions_of(n)``
+read through ``power_map``) for g's power-sum terms, which stay keyed by
+partitions with int weights L [p_mu]g, L = (deg g)!, divided once; psi_k f
+is p_k^[f], and g(Omega_mu) takes v(r) = sum_{d | r} d m_d(mu).  The
+parameters of f are scalars here, while ``stable.stable_inner_plethysm``
+raises them to the k-th power at p_k.
 """
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .alphabets import scale_alphabet
 from .coeffs import Coeff
-from .partitions import (multiplicities, partition, partitions_of,
-                         power_cycle_type)
+from .partitions import multiplicities, partition, partitions_of, power_map
 from .symfunc import (SymExpr, _class_values, _eval_power_sums,
                       _from_class_values, _over, _p_weights, homog, power)
 
@@ -36,20 +35,21 @@ def adams(f: SymExpr, k: int) -> SymExpr:
 
 
 def inner_plethysm(g: SymExpr, f: SymExpr) -> SymExpr:
-    """g^[f] for f homogeneous of degree n.
-
-    Pointwise on cycle types: g^[f](tau) is g with p_k -> chi_f(tau^k),
-    so each p_mu of g contributes prod_{k in mu} chi_f(psi_k(nu)) at the
-    class nu, and the empty partition contributes 1.
+    """g^[f] for f homogeneous of degree n: g with p_k -> chi_f(tau^k), so
+    p_mu gives prod_{k in mu} chi_f(psi_k nu) at the class nu (1 if mu = ()).
     """
     if not f.is_homogeneous():
         raise ValueError("inner plethysm requires homogeneous f")
-    chi = _class_values(f)
+    n = f.degree()
+    chi = _class_values(f).get(n) or [0] * len(partitions_of(n))
     big, weights = _p_weights(g)
-    out = {nu: _eval_power_sums(
-               weights, lambda k: chi.get(power_cycle_type(nu, k), 0))
-           for nu in partitions_of(f.degree())}
-    return _from_class_values(out, f.basis, big)
+    out = [0] * len(chi)
+    for mu, w in weights:   # w prod_{k in mu} chi(psi_k nu), at each nu
+        term = [w] * len(chi)
+        for k in mu:
+            term = list(map(mul, term, map(chi.__getitem__, power_map(n, k))))
+        out = list(map(add, out, term))
+    return _from_class_values({n: out}, f.basis, big)
 
 
 def eigenvalue_eval(f: SymExpr, mu) -> Coeff:

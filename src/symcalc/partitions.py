@@ -81,6 +81,19 @@ def partitions_of(n: int) -> tuple:
     return tuple(_gen(n, n))
 
 
+@lru_cache(maxsize=None)
+def class_position(mu: tuple) -> tuple:
+    """(n, i), mu the i-th partition of n: class functions are lists."""
+    return sum(mu), partitions_of(sum(mu)).index(mu)
+
+
+@lru_cache(maxsize=None)
+def power_map(n: int, k: int) -> tuple:
+    """psi_k on that layout: position of nu -> that of nu^k."""
+    return tuple(class_position(power_cycle_type(nu, k))[1]
+                 for nu in partitions_of(n))
+
+
 def _gen(n: int, maxpart: int, prefix: tuple = ()):
     if n == 0:
         yield prefix

@@ -42,8 +42,8 @@ from .coeffs import as_fraction, coeff_frobenius
 from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
                          partitions_up_to, power_cycle_type)
-from .symfunc import (SymExpr, _add_scaled, _as_int, _class_values,
-                      _eval_power_sums, _from_class_values, _p_weights,
+from .symfunc import (SymExpr, _as_int, _class_values, _eval_power_sums,
+                      _from_class_values, _keyed, _p_weights, _vectors,
                       convert, foulkes_derivative, homog, schur)
 
 
@@ -137,11 +137,9 @@ def evaluate_at_n(sc: StableChar, n: int) -> SymExpr:
 def stable_kron(a: StableChar, b: StableChar) -> StableChar:
     """Product of stable characters (pointwise on all S_n at once): the
     product of their character polynomials, read back in a's basis."""
-    chi: dict = {}
-    yb = _class_values(b.reduced)
-    for nu, x in _class_values(a.reduced).items():
-        for rho, y in yb.items():
-            _add_scaled(chi, x * y, _binomial_product(nu, rho))
+    ya, yb = _keyed(_class_values(a.reduced)), _keyed(_class_values(b.reduced))
+    chi = _vectors((kappa, x * y * c) for nu, x in ya for rho, y in yb
+                   for kappa, c in _binomial_product(nu, rho))
     return StableChar(_from_class_values(chi, a.reduced.basis))
 
 
@@ -187,8 +185,8 @@ def _from_values(value, d: int, scale: int = 1) -> SymExpr:
     forward differences, read out once."""
     vals = {beta: value(beta) for beta in partitions_up_to(d)}
     return _from_class_values(
-        {kappa: sum(w * vals[beta] for beta, w in _difference_weights(kappa))
-         for kappa in partitions_up_to(d)}, "h", scale)
+        {n: [sum(w * vals[beta] for beta, w in _difference_weights(kappa))
+             for kappa in partitions_of(n)] for n in range(d + 1)}, "h", scale)
 
 
 def to_angle_basis(sc: StableChar) -> dict:
@@ -263,7 +261,8 @@ def character_polynomial(lam) -> CharPolynomial:
     Coefficient of prod C(m_i, n_i(nu)) is the character value
     <s_lam(X-1), p_nu> = z_nu [p_nu] s_lam(X-1); these are integers.
     """
-    return CharPolynomial(_class_values(shift_alphabet(schur(lam), -1)))
+    return CharPolynomial(dict(_keyed(_class_values(
+        shift_alphabet(schur(lam), -1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +315,9 @@ def _adjoint(f: SymExpr, series: str) -> SymExpr:
     """sum_mu <f, m_mu[S]> h_mu: T(f) for S = M, T^-1(f) for S = H."""
     out: dict = {}
     for lam, a in convert(f, "h").terms.items():   # int rows, summed as ints
-        row = _pleth_columns(series, sum(lam))[lam].items()
-        _add_scaled(out, _as_int(a), ((mu, _as_int(c)) for mu, c in row))
+        a = _as_int(a)
+        for mu, c in _pleth_columns(series, sum(lam))[lam].items():
+            out[mu] = out.get(mu, 0) + a * _as_int(c)
     return SymExpr("h", out)
 
 
@@ -358,7 +358,7 @@ def stable_inner_plethysm(g: SymExpr, sc: StableChar) -> StableChar:
     """
     chi = _class_values(sc.reduced)
     big, weights = _p_weights(g)
-    twisted = {k: {kappa: coeff_frobenius(c, k) for kappa, c in chi.items()}
+    twisted = {k: {kappa: coeff_frobenius(c, k) for kappa, c in _keyed(chi)}
                for k in {k for mu, _ in weights for k in mu}}
     return StableChar(_from_values(
         lambda beta: _eval_power_sums(weights, lambda k: _binomial_value(

@@ -5,44 +5,35 @@ coefficients in one of the bases m/e/h/p/s.  Inhomogeneous expressions are
 first-class.
 
 A degree-n component is also a class function of S_n, with values
-chi_f(nu) = <f, p_nu> = z_nu [p_nu]f on the cycle types nu, and class
-sums N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f, with |C_nu| = n!/z_nu.
-Both are ints for integral f.  Every change of basis goes through them:
+chi_f(nu) = <f, p_nu> = z_nu [p_nu]f on the cycle types nu and class sums
+N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f, |C_nu| = n!/z_nu, ints for
+integral f.  Class functions are lists over ``partitions_of(n)``, {n: list},
+and so is the transition data: the MN columns, the columns [h_lam]p_nu,
+``power_map`` and the class rows <b_lam, p_nu>, by Hall duality the
+coefficient of b*_lam in p_nu (chi^lam(nu) for s, z_lam for p, [h_lam]p_nu
+for m; h multiplies the class sums |C_nu| of its parts, e is h with the
+omega sign).  f is read in by class rows and out by the columns
+[b_lam]p_nu of its nonzero class sums (``_from_class_sums``); the internal
+product, inner plethysm and the Hall pairing are zips.
 
-* in: chi_f is a sum of integer class rows <b_lam, p_nu> (``_class_row``).
-  By Hall duality such a value is the coefficient of the dual basis
-  element in p_nu: the MN character chi^lam(nu) for s, z_lam for p,
-  [h_lam]p_nu for m (Newton's identity, p_k = k h_k - sum h_{k-i} p_i).
-  For h the class sums of h_k are all |C_nu| and multiply as class sums;
-  e is h with the omega sign.
-* out: one readout, [b_lam]f = sum_nu N(nu) [b_lam]p_nu / n!, an int sum
-  over the integer columns of p_nu (MN characters for s, [h_lam]p_nu for
-  h, with the omega sign for e, <p_nu, h_lam> for m) with one division
-  per coefficient (``_from_class_sums``).
-
-Whole-character operations (internal product, Adams operations, inner
-plethysm) are pointwise on the class values; the Hall pairing ``_pair``
-sums class values against class sums, one division per degree.  Class
-sums are the one internal form: a product weighs N_f(lam) N_g(mu) at
-lam u mu by C(|lam|+|mu|, |lam|), omega is the sign (-1)^(|nu|-len(nu))
-on N(nu), and the skew is chi_{D_f g}(beta) = <g, f p_beta> =
-sum_a [p_a]f chi_g(a u beta).  One kernel, ``_p_mult_basis``, makes the
-products of class sums and in the bases p, h and e.  The MN characters
-at nu are one memo for all lam, ``_mn_column(nu)``, keyed by partitions;
-``char_value``, ``character_table``, the s class rows and the s readout
-all read it in place.  Transition data is memoized in memory only.
+Products stay keyed by partitions: ``_p_mult_basis`` concatenates them (an
+outer product weighs N_f(lam) N_g(mu) at lam u mu by C(|lam|+|mu|, |lam|)),
+as do the skew, chi_{D_f g}(beta) = sum_a [p_a]f chi_g(a u beta), and the
+plethysm tails.  They cross into the lists by ``_vectors`` and back by
+``_keyed``.  Transition data is memoized in memory only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import lru_cache, reduce
+from math import comb, factorial, prod
+from operator import add, mul
 
 from .coeffs import (Coeff, ParamPoly, coeff_from_json, coeff_subs,
                      coeff_to_json)
-from .partitions import (canonical_key, conjugate, multiplicities, partition,
-                         partitions_of, z_value)
+from .partitions import (canonical_key, class_position, conjugate,
+                         multiplicities, partition, partitions_of, z_value)
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -71,6 +62,13 @@ class SymExpr:
         self.terms = clean
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def _make(cls, basis: str, terms: dict) -> "SymExpr":
+        """A SymExpr of clean terms: nonzero Fraction or ParamPoly values."""
+        f = object.__new__(cls)
+        f.basis, f.terms = basis, terms
+        return f
 
     @classmethod
     def zero(cls, basis: str = "s") -> "SymExpr":
@@ -215,20 +213,27 @@ def mono(lam, coeff=1) -> SymExpr:
     return SymExpr("m", {partition(lam): coeff})
 
 
-# -- transition data ----------------------------------------------------
+# -- the class layout and transition data -------------------------------
 
 
-def _add_scaled(out: dict, c, terms) -> None:
-    """out += c * terms, for an iterable of (partition, coeff) pairs."""
-    for nu, d in terms:
-        prev = out.get(nu)
-        cd = c * d
-        out[nu] = cd if prev is None else prev + cd
+def _vectors(pairs) -> dict:
+    """{n: list} of (partition, value) pairs, repeats summed."""
+    out: dict = {}
+    for nu, v in pairs:
+        n, i = class_position(nu)
+        vec = out.get(n) or out.setdefault(n, [0] * len(partitions_of(n)))
+        vec[i] = vec[i] + v if vec[i] else v
+    return out
+
+
+def _keyed(vecs: dict) -> list:
+    """The nonzero (nu, value) pairs of class vectors, degree by degree."""
+    return [(nu, v) for n, vec in vecs.items()
+            for nu, v in zip(partitions_of(n), vec) if v]
 
 
 def _as_int(c):
-    """An integral Fraction as an int, so that sums over cycle types run
-    in int arithmetic; anything else unchanged."""
+    """An integral Fraction as an int, for int sums; else unchanged."""
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
@@ -243,24 +248,25 @@ def _p_mult_basis(factors, cap=None, binomial=False) -> dict:
     Each factor is an iterable of (partition, coeff) pairs; keys
     concatenate and sort.  With ``cap``, terms above that degree are
     dropped as they arise.  With ``binomial``, the factors are p-basis
-    class sums N(nu) = |nu|! [p_nu]F, and the product of the terms at
-    lam and mu carries the weight C(|lam| + |mu|, |lam|).
+    class sums N(nu) = |nu|! [p_nu]F: the coefficient at lam takes the
+    weight C(|lam| + |mu|, |lam|), once per size |mu|.
     """
     acc = {(): 1}
     for terms in factors:
-        terms = [(mu, sum(mu), d) for mu, d in terms]
+        by_size: dict = {}
+        for mu, d in terms:
+            by_size.setdefault(sum(mu), []).append((mu, d))
         nxt: dict = {}
         for lam, c in acc.items():
             a = sum(lam)
-            for mu, b, d in terms:
+            for b, group in by_size.items():
                 if cap is not None and a + b > cap:
                     continue
-                key = tuple(sorted(lam + mu, reverse=True)) if lam else mu
-                cd = c * d
-                if binomial and a:
-                    cd = cd * comb(a + b, a)
-                prev = nxt.get(key)
-                nxt[key] = cd if prev is None else prev + cd
+                cb = c * comb(a + b, a) if binomial and a else c
+                for mu, d in group:
+                    key = tuple(sorted(lam + mu, reverse=True)) if lam else mu
+                    prev, cd = nxt.get(key), cb * d
+                    nxt[key] = cd if prev is None else prev + cd
         acc = {k: v for k, v in nxt.items() if v}
     return acc
 
@@ -272,39 +278,39 @@ def _beads(lam: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _shape(mask: int) -> tuple:
-    """The partition with abacus mask ``mask``, the inverse of ``_beads``."""
-    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
-    return tuple(b - i for i, b in enumerate(beads))[::-1]
+def _bead_index(n: int) -> dict:
+    """{abacus mask of lam: position of lam in partitions_of(n)}."""
+    return {_beads(lam): i for i, lam in enumerate(partitions_of(n))}
 
 
 @lru_cache(maxsize=None)
-def _mn_column(mu: tuple) -> dict:
-    """{lam: chi^lam(mu)} over lam |- |mu|, nonzero values only: the one
-    store of MN characters.  By MN, the column of mu[1:] times p_r,
-    r = mu[0], on the abacus: with r beads added below the mask of lam,
-    each border r-strip moves a bead b to a free b + r, with the sign of
-    the beads between; the min(b, r) low beads left drop out."""
+def _mn_column(mu: tuple) -> list:
+    """[chi^lam(mu) for lam in partitions_of(|mu|)]: the one store of MN
+    characters.  By MN, the column of mu[1:] times p_r, r = mu[0], on the
+    abacus: with r beads added below the mask of lam, each border r-strip
+    moves a bead b to a free b + r, with the sign of the beads between;
+    the min(b, r) low beads left drop out."""
     if not mu:
-        return {(): 1}
-    r, out = mu[0], {}
-    for lam, v in _mn_column(mu[1:]).items():
-        m = (_beads(lam) << r) | ((1 << r) - 1)
-        movable = m & ~(m >> r)
+        return [1]
+    n, r = sum(mu), mu[0]
+    col, index = [0] * len(partitions_of(n)), _bead_index(n)
+    for b, v in zip(_bead_index(n - r), _mn_column(mu[1:])):
+        m = (b << r) | ((1 << r) - 1)
+        movable = m & ~(m >> r) if v else 0
         while movable:
             low = movable & -movable
             movable ^= low
             new = (m ^ low ^ (low << r)) >> min(low.bit_length() - 1, r)
             odd = (m & ((low << r) - (low << 1))).bit_count() & 1
-            out[new] = out.get(new, 0) + (-v if odd else v)
-    return {_shape(k): v for k, v in out.items() if v}
+            col[index[new]] += -v if odd else v
+    return col
 
 
 def char_value(lam: tuple, mu: tuple) -> int:
     """chi^lam(mu), read from the MN column of mu; 0 if lam = () != mu."""
     if lam and sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: {lam} vs {mu}")
-    return _mn_column(mu).get(lam, 0)
+    return _mn_column(mu)[class_position(lam)[1]] if lam or not mu else 0
 
 
 def character_table(n: int) -> dict:
@@ -312,31 +318,39 @@ def character_table(n: int) -> dict:
     partitions_of(n) order, read from the MN columns."""
     parts = partitions_of(n)
     cols = [(mu, _mn_column(mu)) for mu in parts]
-    return {(lam, mu): col.get(lam, 0) for lam in parts for mu, col in cols}
+    return {(lam, mu): col[i]
+            for i, lam in enumerate(parts) for mu, col in cols}
 
 
 @lru_cache(maxsize=None)
-def _pk_in_h(k: int):
-    """h-expansion of p_k via Newton: p_k = k h_k - sum_{i<k} h_{k-i} p_i."""
-    acc = {(k,): k}
-    for i in range(1, k):
-        h = (((k - i,), -1),)
-        _add_scaled(acc, 1, _p_mult_basis((h, _pk_in_h(i))).items())
-    return tuple((lam, c) for lam, c in acc.items() if c)
+def _pk_in_h(k: int) -> tuple:
+    """h-expansion of p_k, the log of sum_j h_j t^j: with l = len(lam),
+    [h_lam]p_k = (-1)^(l-1) k (l-1)! / prod_i m_i(lam)!."""
+    return tuple((lam, (-1) ** (len(lam) - 1) * k * factorial(len(lam) - 1)
+                  // prod(map(factorial, multiplicities(lam).values())))
+                 for lam in partitions_of(k))
 
 
 @lru_cache(maxsize=None)
-def _p_in_h(nu: tuple) -> dict:
-    """{lam: [h_lam]p_nu}, ints: h is multiplicative, so a product over
-    the parts of nu."""
+def _p_in_h(nu: tuple) -> list:
+    """[[h_lam]p_nu for lam in partitions_of(|nu|)], ints: h is
+    multiplicative, so a product over the parts of nu."""
     if not nu:
-        return {(): 1}
-    return _p_mult_basis((_pk_in_h(nu[0]), _p_in_h(nu[1:]).items()))
+        return [1]
+    rest = _keyed({sum(nu[1:]): _p_in_h(nu[1:])})
+    return _vectors(_p_mult_basis((_pk_in_h(nu[0]), rest)).items())[sum(nu)]
 
 
-def _omega_sign(nu: tuple) -> int:
-    """omega(p_nu) = (-1)^(|nu| - len(nu)) p_nu."""
-    return -1 if (sum(nu) - len(nu)) % 2 else 1
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> list:
+    """|C_nu| = n! / z_nu over partitions_of(n)."""
+    return [factorial(n) // z_value(nu) for nu in partitions_of(n)]
+
+
+@lru_cache(maxsize=None)
+def _omega_signs(n: int) -> list:
+    """omega(p_nu) = (-1)^(n - len(nu)) p_nu over partitions_of(n)."""
+    return [-1 if (n - len(nu)) % 2 else 1 for nu in partitions_of(n)]
 
 
 # -- basis conversion ---------------------------------------------------
@@ -347,74 +361,64 @@ def convert(f: SymExpr, target: str) -> SymExpr:
 
 
 @lru_cache(maxsize=None)
-def _class_size(nu: tuple) -> int:
-    """|C_nu| = |nu|! / z_nu, the number of permutations of cycle type nu."""
-    return factorial(sum(nu)) // z_value(nu)
-
-
-@lru_cache(maxsize=None)
-def _class_row(basis: str, lam: tuple) -> dict:
-    """{nu: <b_lam, p_nu>}, the nonzero class values of one basis element
-    as ints.  By Hall duality <b_lam, p_nu> is the coefficient of b*_lam
-    in p_nu for the dual basis b*: chi^lam(nu) for s, z_lam for p,
-    [h_lam]p_nu for m.  For h it is N(nu) / |C_nu|, where the class sums
-    N of h_lam are the product of those of its parts, N_{h_k}(nu) = |C_nu|;
-    e is h with the omega sign."""
-    n = sum(lam)
-    if basis == "s":
-        row = ((nu, _mn_column(nu).get(lam, 0)) for nu in partitions_of(n))
-    elif basis == "m":
-        row = ((nu, _p_in_h(nu).get(lam, 0)) for nu in partitions_of(n))
-    elif basis == "p":
-        row = ((lam, z_value(lam)),)
-    elif not lam:
-        row = (((), 1),)
-    else:
-        head = [(nu, _class_size(nu)) for nu in partitions_of(lam[0])]
-        tail = [(nu, v * _class_size(nu))
-                for nu, v in _class_row("h", lam[1:]).items()]
-        sums = _p_mult_basis((head, tail), binomial=True)
-        row = ((nu, sums[nu] // _class_size(nu))
-               for nu in partitions_of(n) if nu in sums)
-        if basis == "e":
-            row = ((nu, _omega_sign(nu) * v) for nu, v in row)
-    return {nu: v for nu, v in row if v}
+def _class_row(basis: str, lam: tuple) -> list:
+    """[<b_lam, p_nu> for nu in partitions_of(|lam|)], ints (see the module
+    docstring); for h, N(nu) / |C_nu| with N the product of the class sums
+    of the parts of lam.  Read only: these are the class values of b_lam."""
+    n, i = class_position(lam)
+    if basis in "sm":
+        column = _mn_column if basis == "s" else _p_in_h
+        return [column(nu)[i] for nu in partitions_of(n)]
+    if basis == "p":
+        return [z_value(lam) if nu == lam else 0 for nu in partitions_of(n)]
+    if basis == "e":
+        return list(map(mul, _omega_signs(n), _class_row("h", lam)))
+    if not lam:
+        return [1]
+    head = zip(partitions_of(lam[0]), _class_sizes(lam[0]))
+    tail = _keyed(_class_sums(homog(lam[1:])))
+    sums = _p_mult_basis((head, tail), binomial=True)
+    return [sums.get(nu, 0) // c
+            for nu, c in zip(partitions_of(n), _class_sizes(n))]
 
 
 def _class_values(f: SymExpr) -> dict:
-    """Character values chi_f(nu) = <f, p_nu> = z_nu [p_nu]f, keyed by
-    cycle type nu; ints for integral f."""
-    out: dict = {}
+    """{n: [chi_f(nu) for nu in partitions_of(n)]}, ints for integral f;
+    read only, as b_lam itself gets its memoized class row."""
+    out, ints = {}, True   # with int coefficients, int class values
     for lam, c in f.terms.items():
-        _add_scaled(out, _as_int(c), _class_row(f.basis, lam).items())
-    return {nu: _as_int(v) for nu, v in out.items() if v}
+        n, c, row = sum(lam), _as_int(c), _class_row(f.basis, lam)
+        ints = ints and type(c) is int
+        out[n] = row if n not in out and type(c) is int and c == 1 else [
+            (a + c * x if a else c * x) if x else a
+            for a, x in zip(out.get(n) or [0] * len(row), row)]
+    return out if ints else {n: list(map(_as_int, v)) for n, v in out.items()}
 
 
 def _class_sums(f: SymExpr) -> dict:
     """Class sums N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f."""
-    return {nu: c * _class_size(nu) for nu, c in _class_values(f).items()}
+    return {n: list(map(mul, v, _class_sizes(n)))
+            for n, v in _class_values(f).items()}
 
 
 def _p_weights(f: SymExpr):
     """(L, [(mu, L [p_mu]f), ...]) with L = (deg f)!, ints for integral
-    f: the class values times L / z_mu."""
+    f: the class sums times L / |mu|!."""
     big = factorial(f.degree())
-    return big, [(mu, c * (big // z_value(mu)))
-                 for mu, c in _class_values(f).items()]
+    return big, [(mu, s * (big // factorial(sum(mu))))
+                 for mu, s in _keyed(_class_sums(f))]
 
 
 def _eval_power_sums(weights, value):
-    """sum_mu w_mu prod_{k in mu} value(k) over the weights of
-    ``_p_weights``, with value(k) computed once per k; ints for int
-    weights and values."""
+    """sum_mu w_mu prod_{k in mu} value(k) over ``_p_weights``, value(k)
+    computed once per k; ints for int weights and values."""
     values: dict = {}
     total = 0
     for mu, w in weights:
         for k in mu:
-            v = values.get(k)
-            if v is None:
-                v = values[k] = value(k)
-            w = w * v
+            if k not in values:
+                values[k] = value(k)
+            w = w * values[k]
             if not w:
                 break
         else:
@@ -423,47 +427,42 @@ def _eval_power_sums(weights, value):
 
 
 @lru_cache(maxsize=None)
-def _p_in_basis(target: str, nu: tuple):
-    """p_nu = sum_lam a_lam b_lam in ``target``, as int pairs (lam, a_lam):
-    MN characters for s and [h_lam]p_nu for h and for e with
-    omega(p_nu) = p_nu (the items of ``_mn_column(nu)`` and
-    ``_p_in_h(nu)``, not copies), a sign-flipped tuple of the latter for
-    the other e columns, and for m the transpose of the h class rows,
-    [m_lam]p_nu = <p_nu, h_lam>."""
-    if target == "s":
-        return _mn_column(nu).items()
-    if target == "h" or target == "e" and _omega_sign(nu) == 1:
-        return _p_in_h(nu).items()
-    if target == "m":
-        col = ((lam, _class_row("h", lam).get(nu, 0))
-               for lam in partitions_of(sum(nu)))
-    elif target == "p":
-        col = ((nu, 1),)
-    else:
-        col = ((lam, -v) for lam, v in _p_in_h(nu).items())
-    return tuple((lam, v) for lam, v in col if v)
+def _m_column(nu: tuple) -> list:
+    """[[m_lam]p_nu = <p_nu, h_lam> for lam in partitions_of(|nu|)]."""
+    i = class_position(nu)[1]
+    return [_class_row("h", lam)[i] for lam in partitions_of(sum(nu))]
 
 
 def _from_class_sums(sums: dict, target: str, scale: int = 1) -> SymExpr:
-    """sum_nu sums(nu) p_nu / (scale |nu|!), in ``target``: the one readout
-    of every change of basis.
-
-    An int sum over the integer columns of ``_p_in_basis`` for int class
-    sums, divided once per output coefficient: for s,
-    [s_lam]f = sum_nu N(nu) chi^lam(nu) / n!.
-    """
+    """sum_nu sums(nu) p_nu / (scale |nu|!) in ``target``, the one readout:
+    the columns [b_lam]p_nu of the nonzero sums, transposed, give one dot
+    product per lam, divided once (e: omega of the sums on h columns);
+    sums not all ints multiply only nonzero entries."""
+    column = {"s": _mn_column, "m": _m_column}.get(target, _p_in_h)
     out: dict = {}
-    for nu, c in sums.items():
-        if c:
-            _add_scaled(out, _as_int(c), _p_in_basis(target, nu))
-    return SymExpr(target, {lam: _over(v, scale * factorial(sum(lam)))
-                            for lam, v in out.items() if v})
+    for n, vec in sums.items():
+        d = scale * factorial(n)
+        if target == "p":
+            out.update((nu, _over(c, d))
+                       for nu, c in zip(partitions_of(n), vec) if c)
+            continue
+        if target == "e":
+            vec = list(map(mul, _omega_signs(n), vec))
+        ints = all(type(c) is int for c in vec)
+        vals = [c if ints else _as_int(c) for c in vec if c]
+        cols = [column(nu) for nu, c in zip(partitions_of(n), vec) if c]
+        for lam, row in zip(partitions_of(n), zip(*cols)):
+            c = (sum(map(mul, vals, row)) if ints else
+                 reduce(add, [x * y for x, y in zip(vals, row) if y] or [0]))
+            if c:
+                out[lam] = _over(c, d)
+    return SymExpr._make(target, out)
 
 
 def _from_class_values(chi: dict, target: str, scale: int = 1) -> SymExpr:
     """The symmetric function with character values chi / scale."""
-    return _from_class_sums({nu: c * _class_size(nu) for nu, c in chi.items()},
-                            target, scale)
+    return _from_class_sums({n: list(map(mul, v, _class_sizes(n)))
+                             for n, v in chi.items()}, target, scale)
 
 
 # -- products and pairings ----------------------------------------------
@@ -472,21 +471,20 @@ def _from_class_values(chi: dict, target: str, scale: int = 1) -> SymExpr:
 def multiply(f: SymExpr, g: SymExpr, cap=None) -> SymExpr:
     """Outer product, returned in the basis of f, without the terms above
     degree cap: the binomial product of the class sums."""
-    sums = (_class_sums(f).items(), _class_sums(g).items())
-    return _from_class_sums(_p_mult_basis(sums, cap, binomial=True), f.basis)
+    sums = (_keyed(_class_sums(f)), _keyed(_class_sums(g)))
+    return _from_class_sums(_vectors(_p_mult_basis(sums, cap, binomial=True)
+                                     .items()), f.basis)
 
 
 def _pair(chi: dict, sums: dict, scale: int = 1) -> Coeff:
-    """sum_n sum_{nu |- n} chi(nu) sums(nu) / (scale n!): the Hall pairing
-    of class values with class sums, with one division per degree."""
-    by_deg: dict = {}
-    for nu, c in chi.items():
-        s = sums.get(nu)
-        if s:
-            n = sum(nu)
-            by_deg[n] = by_deg.get(n, 0) + c * s
-    return sum((_over(acc, scale * factorial(n)) for n, acc in by_deg.items()),
-               Fraction(0))
+    """sum_n sum_{nu |- n} chi(nu) sums(nu) / (scale n!): the Hall pairing,
+    a sum of the nonzero products with one division per degree."""
+    total = Fraction(0)
+    for n, vec in sums.items():
+        terms = [c * s for c, s in zip(chi.get(n, ()), vec) if c and s]
+        if terms:
+            total = total + _over(sum(terms), scale * factorial(n))
+    return total
 
 
 def hall_scalar(f: SymExpr, g: SymExpr) -> Coeff:
@@ -497,8 +495,8 @@ def hall_scalar(f: SymExpr, g: SymExpr) -> Coeff:
 def internal(f: SymExpr, g: SymExpr) -> SymExpr:
     """Kronecker product: the pointwise product of characters."""
     a, b = _class_values(f), _class_values(g)
-    return _from_class_values({nu: c * b[nu] for nu, c in a.items()
-                               if nu in b}, f.basis)
+    return _from_class_values({n: list(map(mul, v, b[n]))
+                               for n, v in a.items() if n in b}, f.basis)
 
 
 def foulkes_derivative(f: SymExpr, g: SymExpr) -> SymExpr:
@@ -506,25 +504,18 @@ def foulkes_derivative(f: SymExpr, g: SymExpr) -> SymExpr:
     weights L [p_a]f of ``_p_weights`` times chi_g(a u beta), over L."""
     big, weights = _p_weights(f)
     chi = _class_values(g)
-    out: dict = {}
-    for alpha, w in weights:
-        for nu, c in chi.items():
-            rest = list(nu)
-            for k in alpha:
-                if k not in rest:
-                    break
-                rest.remove(k)
-            else:
-                beta = tuple(rest)
-                out[beta] = out.get(beta, 0) + w * c
-    return _from_class_values(out, g.basis, big)
+    return _from_class_values(_vectors(
+        (beta, w * chi[n][class_position(tuple(sorted(alpha + beta,
+                                                      reverse=True)))[1]])
+        for alpha, w in weights for n in chi if n >= sum(alpha)
+        for beta in partitions_of(n - sum(alpha))), g.basis, big)
 
 
 def omega(f: SymExpr) -> SymExpr:
     """The involution exchanging h and e: the sign (-1)^(|nu| - len(nu))
     on the class sums."""
-    return _from_class_sums({nu: _omega_sign(nu) * c
-                             for nu, c in _class_sums(f).items()}, f.basis)
+    return _from_class_sums({n: list(map(mul, _omega_signs(n), v))
+                             for n, v in _class_sums(f).items()}, f.basis)
 
 
 # -- characters and Littlewood-Richardson --------------------------------

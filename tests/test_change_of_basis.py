@@ -26,10 +26,12 @@ from symcalc.alphabets import (TruncatedSeries, scale_alphabet,
 from symcalc.coeffs import ParamPoly
 from symcalc.partitions import (canonical_key, partitions_of,
                                 partitions_up_to, z_value)
-from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _class_values,
-                             _from_class_sums, _over, _p_mult_basis,
-                             char_value, convert, elem, foulkes_derivative,
-                             homog, mono, multiply, omega, power, schur)
+from symcalc.symfunc import (BASES, SymExpr, _class_values,
+                             _from_class_sums, _keyed, _over, _p_mult_basis,
+                             _vectors, char_value, convert, elem,
+                             foulkes_derivative, homog, mono, multiply, omega,
+                             power, schur)
+from test_class_vectors import _add_scaled
 
 MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
 T = ParamPoly.var("t")
@@ -228,14 +230,14 @@ def _to_p(expr):
     """Expansion of expr in the p basis: [p_nu]f = chi_f(nu) / z_nu."""
     if expr.basis == "p":
         return dict(expr.terms)
-    return {nu: _over(c, z_value(nu)) for nu, c in _class_values(expr).items()}
+    return {nu: _over(c, z_value(nu)) for nu, c in _keyed(_class_values(expr))}
 
 
 def _from_p(pterms, target):
     """sum_nu pterms(nu) p_nu in ``target``: the readout of the class sums
     |nu|! pterms(nu)."""
-    return _from_class_sums({nu: c * factorial(sum(nu))
-                             for nu, c in pterms.items()}, target)
+    return _from_class_sums(_vectors((nu, c * factorial(sum(nu)))
+                                     for nu, c in pterms.items()), target)
 
 
 # -- comparison --------------------------------------------------------

@@ -19,10 +19,10 @@ from symcalc.innerpleth import (adams, eigenvalue_eval, inner_plethysm,
 from symcalc.partitions import (multiplicities, partitions_of,
                                 partitions_up_to, power_cycle_type, z_value)
 from symcalc.stable import angle, evaluate_at_n, reduced_kron
-from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _p_mult_basis,
-                             elem, hall_scalar, homog, internal, mono, power,
-                             schur)
+from symcalc.symfunc import (BASES, SymExpr, _p_mult_basis, elem,
+                             hall_scalar, homog, internal, mono, power, schur)
 from test_change_of_basis import _from_p, _to_p
+from test_class_vectors import _add_scaled
 
 MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
 T = ParamPoly.var("t")

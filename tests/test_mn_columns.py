@@ -1,9 +1,9 @@
 """The column-at-a-time Murnaghan-Nakayama kernel against the earlier
 (lam, rest)-memoized border-strip recursion, which is kept here as the
 reference; orthogonality of the degree-18 table; the edge cases of
-``char_value``; the partition keys of the MN columns (``_shape`` inverts
-``_beads``); and that character tables are neither read from nor written
-to a cache directory.
+``char_value``; the MN columns as int lists over ``partitions_of(n)``
+(``_bead_index`` places the abacus masks of ``_beads``); and that
+character tables are neither read from nor written to a cache directory.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import pytest
 
 from symcalc.cache import FORMAT_VERSION, set_cache_dir
 from symcalc.partitions import partitions_of, z_value
-from symcalc.symfunc import (_beads, _mn_column, _shape, char_value,
+from symcalc.symfunc import (_bead_index, _beads, _mn_column, char_value,
                              character_table)
 
 
@@ -123,16 +123,22 @@ def test_character_table_read_back_keeps_partition_order(tmp_path):
     assert computed == read_back
 
 
-def test_shape_inverts_beads():
+def test_bead_index_inverts_beads():
     for n in range(15):
-        for lam in partitions_of(n):
-            assert _shape(_beads(lam)) == lam
+        index = _bead_index(n)
+        assert sorted(index.values()) == list(range(len(partitions_of(n))))
+        for mask, i in index.items():
+            beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+            shape = tuple(b - k for k, b in enumerate(beads))[::-1]
+            assert shape == partitions_of(n)[i] and _beads(shape) == mask
 
 
-def test_mn_column_keys_are_partitions():
+def test_mn_columns_are_lists_over_partitions():
     for n in range(17):
-        parts = set(partitions_of(n))
-        for mu in partitions_of(n):
+        parts = partitions_of(n)
+        for mu in parts:
             col = _mn_column(mu)
-            assert set(col) <= parts, mu
-            assert all(type(lam) is tuple and col[lam] for lam in col)
+            assert type(col) is list and len(col) == len(parts), mu
+            assert all(type(v) is int for v in col), mu
+            if n <= 8:
+                assert col == [_ref_char_value(lam, mu) for lam in parts]

@@ -21,7 +21,7 @@ from symcalc.coeffs import ParamPoly
 from symcalc.partitions import partitions_of, partitions_up_to
 from symcalc.stable import _pleth_columns
 from symcalc.symfunc import (BASES, SymExpr, _class_row, _from_class_values,
-                             _pair, elem, homog, mono, power, schur)
+                             _pair, _vectors, elem, homog, mono, power, schur)
 
 MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
 T = ParamPoly.var("t")
@@ -130,9 +130,10 @@ def test_endofunction_trace_matches_the_pairing_loop(n):
 def _ref_pleth_columns(series, d):
     s = {"H": sigma_minus_one, "M": invert_sigma}[series](max(d, 1))
     tail = _tails(s.expr, s.cap)
-    return {lam: _from_class_values(
-                {rho: _pair(_class_row("h", lam), tail(rho))
-                 for rho in partitions_up_to(d)}, "h").terms
+    return {lam: _from_class_values(_vectors(
+                (rho, _pair({d: _class_row("h", lam)},
+                            _vectors(tail(rho).items())))
+                for rho in partitions_up_to(d)), "h").terms
             for lam in partitions_of(d)}
 
 

@@ -21,10 +21,11 @@ from symcalc.apps import (_weight_alphabet, endofunction_signature,
                           littlewood_pair)
 from symcalc.coeffs import ParamPoly, coeff_frobenius, format_coeff
 from symcalc.partitions import partitions_of
-from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _class_sums,
-                             _from_class_sums, _p_mult_basis, _p_weights,
+from symcalc.symfunc import (BASES, SymExpr, _class_sums, _from_class_sums,
+                             _keyed, _p_mult_basis, _p_weights, _vectors,
                              convert, elem, hall_scalar, homog, mono, power,
                              schur)
+from test_class_vectors import _add_scaled
 
 MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
 
@@ -37,7 +38,7 @@ def _ref_outer_plethysm(f, g):
         g, cap = g.expr, g.cap
     else:
         cap = None
-    gsums = _class_sums(g)
+    gsums = dict(_keyed(_class_sums(g)))
     powers = {}
     tails = {(): {(): 1}}
 
@@ -59,7 +60,7 @@ def _ref_outer_plethysm(f, g):
     out = {}
     for alpha, w in weights:
         _add_scaled(out, w, tail(alpha).items())
-    result = _from_class_sums(out, f.basis, big)
+    result = _from_class_sums(_vectors(out.items()), f.basis, big)
     if cap is not None:
         return TruncatedSeries(result, cap)
     return result
@@ -179,7 +180,7 @@ def test_endofunction_signature_matches_the_readout_loop(n):
 
 @pytest.mark.parametrize("binomial", (False, True))
 def test_capped_product_is_the_full_product_cut(binomial):
-    factors = [_class_sums(f) for f in
+    factors = [dict(_keyed(_class_sums(f))) for f in
                (schur([2, 1]) + homog([1]) - 1, elem([3]) + power([1, 1]),
                 homog([2]) * 4 + schur([1]), schur([4]) - mono([2, 1]))]
     full = _p_mult_basis([fs.items() for fs in factors], binomial=binomial)

@@ -20,10 +20,10 @@ from symcalc.apps import (_weight_alphabet, gay_restriction,
 from symcalc.coeffs import ParamPoly
 from symcalc.partitions import partition, partitions_of, partitions_up_to
 from symcalc.stable import StableChar
-from symcalc.symfunc import (BASES, SymExpr, _add_scaled, _p_mult_basis,
-                             convert, elem, hall_scalar, homog, mono,
-                             multiply, power, schur)
+from symcalc.symfunc import (BASES, SymExpr, _p_mult_basis, convert, elem,
+                             hall_scalar, homog, mono, multiply, power, schur)
 from test_change_of_basis import _from_p, _to_p
+from test_class_vectors import _add_scaled
 
 MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
 T = ParamPoly.var("t")

@@ -18,9 +18,10 @@ from symcalc.apps import (_weight_alphabet, endofunction_signature,
 from symcalc.coeffs import ParamPoly, _align, _param_key
 from symcalc.partitions import partitions_of, partitions_up_to
 from symcalc.stable import _adjoint, _pleth_columns
-from symcalc.symfunc import (SymExpr, _add_scaled, _p_weights, convert, elem,
-                             homog, mono, power, schur)
+from symcalc.symfunc import (SymExpr, _keyed, _p_weights, _vectors, convert,
+                             elem, homog, mono, power, schur)
 from symcalc.tables import SECTIONS, render_table
+from test_class_vectors import _add_scaled
 
 
 def _fresh_sums(f, g):
@@ -30,13 +31,13 @@ def _fresh_sums(f, g):
     out = {}
     for alpha, w in weights:
         _add_scaled(out, w, tail(alpha).items())
-    return out, big, cap
+    return _vectors(out.items()), big, cap
 
 
 def _typed(sums):
     out, big, cap = sums
     return [(nu, c, type(c), getattr(c, "params", None),
-             getattr(c, "caps", None)) for nu, c in out.items()], big, cap
+             getattr(c, "caps", None)) for nu, c in _keyed(out)], big, cap
 
 
 def _same_as_fresh(f, g):

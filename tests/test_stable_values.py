@@ -27,10 +27,12 @@ from symcalc.partitions import (partitions_of, partitions_up_to,
 from symcalc.stable import (StableChar, _adjoint, _pleth_columns, angle,
                             dangle, evaluate_at_n, stable_inner_plethysm,
                             tilde_h_expand)
-from symcalc.symfunc import (SymExpr, _add_scaled, _as_int, _class_values,
-                             _from_class_values, _omega_sign, _p_in_basis,
-                             _p_in_h, convert, elem, homog, mono, power, schur)
+from symcalc.symfunc import (SymExpr, _as_int, _class_values,
+                             _from_class_values, _keyed, _p_in_h,
+                             _vectors, convert, elem, homog, mono, power,
+                             schur)
 
+from test_class_vectors import _add_scaled
 from test_cli import run_cli
 
 # -- references: the routes replaced by the values at cycle types ---------
@@ -60,18 +62,19 @@ def _ref_stable_inner_plethysm(g, sc):
 
 
 def _ref_adams(f, k):
-    chi = _class_values(f)
+    chi = dict(_keyed(_class_values(f)))
     out = {}
     for nu in partitions_of(f.degree()):
         src = power_cycle_type(nu, k)
         if src in chi:
             out[nu] = chi[src]
-    return _from_class_values(out, f.basis)
+    return _from_class_values(_vectors(out.items()), f.basis)
 
 
 def _ref_p_in_e(nu):
-    sign = _omega_sign(nu)
-    return tuple((lam, sign * v) for lam, v in _p_in_h(nu).items()
+    sign = -1 if (sum(nu) - len(nu)) % 2 else 1
+    return tuple((lam, sign * v)
+                 for lam, v in zip(partitions_of(sum(nu)), _p_in_h(nu))
                  if sign * v)
 
 
@@ -243,11 +246,9 @@ def test_adams_keeps_its_errors():
         adams(schur([2]) + schur([1]), 2)
 
 
-def test_e_columns_keep_their_values_and_order():
+def test_e_readout_of_power_sums_is_the_signed_h_column():
     for nu in partitions_up_to(10):
-        got = _p_in_basis("e", nu)
-        assert list(got) == list(_ref_p_in_e(nu)), nu
-        if _omega_sign(nu) == 1:
-            assert list(got) == list(_p_in_h(nu).items())
+        assert convert(power(nu), "e").terms == \
+            {lam: Fraction(v) for lam, v in _ref_p_in_e(nu)}, nu
     f = schur([3, 2, 1]) + mono([2, 2]) * Fraction(1, 3)
     assert convert(convert(f, "e"), "s") == convert(f, "s")
