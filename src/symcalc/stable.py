@@ -109,14 +109,9 @@ def straighten_schur(alpha):
     beta = [alpha[i] + (k - 1 - i) for i in range(k)]
     if any(b < 0 for b in beta) or len(set(beta)) < k:
         return None
-    sign = 1
-    # parity of the permutation sorting beta in decreasing order
-    for i in range(k):
-        for j in range(i + 1, k):
-            if beta[i] < beta[j]:
-                sign = -sign
-    beta.sort(reverse=True)
-    lam = tuple(beta[i] - (k - 1 - i) for i in range(k))
+    # the sign is the parity of the permutation sorting beta decreasingly
+    sign = (-1) ** sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
+    lam = [b - (k - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))]
     return sign, partition(x for x in lam if x)
 
 

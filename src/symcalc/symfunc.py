@@ -7,14 +7,12 @@ first-class.
 A degree-n component is also a class function of S_n, with values
 chi_f(nu) = <f, p_nu> = z_nu [p_nu]f on the cycle types nu and class sums
 N(nu) = chi_f(nu) |C_nu| = |nu|! [p_nu]f, |C_nu| = n!/z_nu, ints for
-integral f.  Class functions are lists over ``partitions_of(n)``, {n: list},
-and so is the transition data: the MN columns, the columns [h_lam]p_nu,
-``power_map`` and the class rows <b_lam, p_nu>, by Hall duality the
-coefficient of b*_lam in p_nu (chi^lam(nu) for s, z_lam for p, [h_lam]p_nu
-for m; h multiplies the class sums |C_nu| of its parts, e is h with the
-omega sign).  f is read in by class rows and out by the columns
-[b_lam]p_nu of its nonzero class sums (``_from_class_sums``); the internal
-product, inner plethysm and the Hall pairing are zips.
+integral f: lists over ``partitions_of(n)``, {n: list}.  f is read in by
+the class rows <b_lam, p_nu> and out by the columns [b_lam]p_nu of its
+nonzero class sums; the internal product, inner plethysm and the Hall
+pairing are zips.  The columns in s, m and h are one kernel, ``_column``
+(p_nu = p_r p_{nu[1:]}); the rows of s and m are slices of the s and h
+columns, those of h a binomial product (e: h with the omega sign).
 
 Products stay keyed by partitions: ``_p_mult_basis`` concatenates them (an
 outer product weighs N_f(lam) N_g(mu) at lam u mu by C(|lam|+|mu|, |lam|)),
@@ -26,7 +24,7 @@ plethysm tails.  They cross into the lists by ``_vectors`` and back by
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import comb, factorial, prod
 from operator import add, mul
 
@@ -284,26 +282,55 @@ def _bead_index(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _mn_column(mu: tuple) -> list:
-    """[chi^lam(mu) for lam in partitions_of(|mu|)]: the one store of MN
-    characters.  By MN, the column of mu[1:] times p_r, r = mu[0], on the
-    abacus: with r beads added below the mask of lam, each border r-strip
-    moves a bead b to a free b + r, with the sign of the beads between;
-    the min(b, r) low beads left drop out."""
-    if not mu:
-        return [1]
-    n, r = sum(mu), mu[0]
-    col, index = [0] * len(partitions_of(n)), _bead_index(n)
-    for b, v in zip(_bead_index(n - r), _mn_column(mu[1:])):
-        m = (b << r) | ((1 << r) - 1)
-        movable = m & ~(m >> r) if v else 0
+def _times_p(basis: str, n: int, r: int) -> tuple:
+    """p_r b_kappa = sum w b_lam for each kappa in partitions_of(n - r), as
+    a flat int tuple (i0, w0, i1, w1, ...), lam the i-th partition of n.
+    s, MN on the abacus: with r beads added below the mask of kappa, each
+    border r-strip moves a bead b to a free b + r, w the sign of the beads
+    between; the min(b, r) low beads left drop out.  m: a part b of kappa,
+    or a new part 0, grows by r, w = m_{b+r}(lam).  h: lam = kappa u mu,
+    w = [h_mu]p_r = (-1)^(l-1) r (l-1)! / prod_i m_i(mu)!, l = len(mu)."""
+    rows, index = [], _bead_index(n)
+    newton = [(mu, (-1) ** (len(mu) - 1) * r * factorial(len(mu) - 1)
+               // prod(map(factorial, multiplicities(mu).values())))
+              for mu in partitions_of(r)] if basis == "h" else []
+    for kappa in partitions_of(n - r):
+        row, m = [], (_beads(kappa) << r) | ((1 << r) - 1)
+        movable = m & ~(m >> r) if basis == "s" else 0
         while movable:
             low = movable & -movable
             movable ^= low
             new = (m ^ low ^ (low << r)) >> min(low.bit_length() - 1, r)
             odd = (m & ((low << r) - (low << 1))).bit_count() & 1
-            col[index[new]] += -v if odd else v
+            row += index[new], -1 if odd else 1
+        grown = [(kappa[:i] + (b + r,) + kappa[i + 1:],
+                  kappa.count(b + r) + 1) for i, b in enumerate(kappa + (0,))
+                 if not i or kappa[i - 1] != b] if basis == "m" else []
+        for lam, w in grown + [(kappa + mu, w) for mu, w in newton]:
+            row += index[_beads(tuple(sorted(lam, reverse=True)))], w
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _column(basis: str, nu: tuple) -> list:
+    """[[b_lam]p_nu for lam in partitions_of(|nu|)], ints, for b = s (the
+    MN characters chi^lam(nu)), h or m: the column of nu[1:] through the
+    ``_times_p`` table of r = nu[0].  Read only."""
+    if not nu:
+        return [1]
+    n, r = sum(nu), nu[0]
+    col = [0] * len(partitions_of(n))
+    for v, row in zip(_column(basis, nu[1:]), _times_p(basis, n, r)):
+        if v:
+            it = iter(row)
+            for i, w in zip(it, it):
+                col[i] += v * w
     return col
+
+
+# The MN characters (their one store), [h_lam]p_nu and [m_lam]p_nu.
+_mn_column, _p_in_h, _m_column = (partial(_column, b) for b in "shm")
 
 
 def char_value(lam: tuple, mu: tuple) -> int:
@@ -320,25 +347,6 @@ def character_table(n: int) -> dict:
     cols = [(mu, _mn_column(mu)) for mu in parts]
     return {(lam, mu): col[i]
             for i, lam in enumerate(parts) for mu, col in cols}
-
-
-@lru_cache(maxsize=None)
-def _pk_in_h(k: int) -> tuple:
-    """h-expansion of p_k, the log of sum_j h_j t^j: with l = len(lam),
-    [h_lam]p_k = (-1)^(l-1) k (l-1)! / prod_i m_i(lam)!."""
-    return tuple((lam, (-1) ** (len(lam) - 1) * k * factorial(len(lam) - 1)
-                  // prod(map(factorial, multiplicities(lam).values())))
-                 for lam in partitions_of(k))
-
-
-@lru_cache(maxsize=None)
-def _p_in_h(nu: tuple) -> list:
-    """[[h_lam]p_nu for lam in partitions_of(|nu|)], ints: h is
-    multiplicative, so a product over the parts of nu."""
-    if not nu:
-        return [1]
-    rest = _keyed({sum(nu[1:]): _p_in_h(nu[1:])})
-    return _vectors(_p_mult_basis((_pk_in_h(nu[0]), rest)).items())[sum(nu)]
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +372,8 @@ def convert(f: SymExpr, target: str) -> SymExpr:
 def _class_row(basis: str, lam: tuple) -> list:
     """[<b_lam, p_nu> for nu in partitions_of(|lam|)], ints (see the module
     docstring); for h, N(nu) / |C_nu| with N the product of the class sums
-    of the parts of lam.  Read only: these are the class values of b_lam."""
+    of the parts of lam, not [m_lam]p_nu read off the m columns, as one row
+    would need them all.  Read only: these are the class values of b_lam."""
     n, i = class_position(lam)
     if basis in "sm":
         column = _mn_column if basis == "s" else _p_in_h
@@ -424,13 +433,6 @@ def _eval_power_sums(weights, value):
         else:
             total = total + w
     return total
-
-
-@lru_cache(maxsize=None)
-def _m_column(nu: tuple) -> list:
-    """[[m_lam]p_nu = <p_nu, h_lam> for lam in partitions_of(|nu|)]."""
-    i = class_position(nu)[1]
-    return [_class_row("h", lam)[i] for lam in partitions_of(sum(nu))]
 
 
 def _from_class_sums(sums: dict, target: str, scale: int = 1) -> SymExpr:
