@@ -26,7 +26,6 @@ from .alphabets import (_pleth_adjoint, _pleth_pairing, _shared_tail,
                         lie_character, outer_plethysm, sigma_series)
 from .coeffs import Coeff, ParamPoly
 from .partitions import multiplicities, partitions_of
-from .stable import StableChar
 from .symfunc import SymExpr, convert, elem, homog, multiply, omega, schur
 
 
@@ -89,6 +88,7 @@ def stable_weight_orbits(f: SymExpr) -> StableChar:
     monomial t^nu recording the multiset nu of orbit weights."""
     if not f.is_homogeneous() or not f.terms:
         raise ValueError("stable weight decomposition requires homogeneous input")
+    from .stable import StableChar
     d = f.degree()
     tail = _shared_tail(_weight_alphabet(d, with_t0=False), d)
     return StableChar(_pleth_adjoint(f, tail, range(d + 1)))
@@ -136,6 +136,7 @@ def stable_cohomology(i: int) -> StableChar:
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
+    from .stable import StableChar
     if i == 0:
         return StableChar(SymExpr("h", {(): Fraction(1)}))
     total = SymExpr("p")

@@ -7,7 +7,9 @@ readers on the same directory are safe.  All IO failures degrade to
 in-memory operation.
 
 Warnings go to the ``symcalc.cache`` logger.  ``logging`` loads on the
-first warning, ``json``, ``hashlib`` and ``tempfile`` on the first IO.
+first warning, ``json``, ``tempfile`` and sha256 on the first IO.  The
+sha256 is CPython's built-in module, as ``random`` takes its sha512:
+``hashlib``, the fallback, loads OpenSSL (3 MB and 4 ms a process).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 FORMAT_VERSION = 1
 
 _active: "PersistentCache | None" = None
+_new_sha256 = None  # the sha256 constructor, bound by the first checksum
 
 
 def set_cache_dir(path) -> "PersistentCache | None":
@@ -27,8 +30,17 @@ def set_cache_dir(path) -> "PersistentCache | None":
 
 
 def _checksum(payload_text: str) -> str:
-    import hashlib
-    return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+    global _new_sha256
+    if _new_sha256 is None:
+        try:
+            from _sha256 import sha256  # Python 3.10, 3.11
+        except ImportError:
+            try:
+                from _sha2 import sha256  # Python 3.12+
+            except ImportError:
+                from hashlib import sha256
+        _new_sha256 = sha256
+    return _new_sha256(payload_text.encode("utf-8")).hexdigest()
 
 
 def _warn(msg: str, *args) -> None:
@@ -62,9 +74,11 @@ class PersistentCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError too
             _warn("cache entry %s unreadable (%s); recomputing", path, exc)
             return None
         if doc.get("version") != FORMAT_VERSION:

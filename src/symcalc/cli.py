@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 parse error, 3 evaluation error, 4 IO error.
 
-Each branch of ``_run`` imports its command's computation, so a process
-loads only the modules its one command runs.
+Each branch of ``_run`` imports its command's computation, and ``expr``
+each node's, so a process loads only the modules its one command runs,
+besides ``render`` and ``tables`` (the parser lists its sections).
 """
 
 from __future__ import annotations

@@ -286,12 +286,6 @@ def coeff_frobenius(c: Coeff, k: int) -> Coeff:
     return c
 
 
-def coeff_subs(c: Coeff, values: dict) -> Coeff:
-    if isinstance(c, ParamPoly):
-        return c.subs(values)
-    return c
-
-
 def as_fraction(c: Coeff) -> Fraction:
     if isinstance(c, ParamPoly):
         return c.constant_value()

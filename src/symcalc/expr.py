@@ -21,12 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .alphabets import outer_plethysm, shift_alphabet
 from .coeffs import EvalError
-from .innerpleth import inner_plethysm
-from .stable import (CharPolynomial, StableChar, angle, character_polynomial,
-                     dangle, evaluate_at_n, stable_inner_plethysm,
-                     stable_kron, tilde_h, tilde_s, tilde_x)
 from .symfunc import (SymExpr, foulkes_derivative, hall_scalar, internal,
                       multiply)
 from .symfunc import elem, homog, mono, power, schur
@@ -187,52 +182,20 @@ def parse(text: str):
     return Parser(text).parse()
 
 
-def render_ast(node) -> str:
-    """Canonical text for an AST; parse(render_ast(x)) == x."""
-    kind = node[0]
-    if kind == "num":
-        c = node[1]
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    if kind == "atom":
-        return f"{node[1]}[{','.join(map(str, node[2]))}]"
-    if kind == "neg":
-        return f"-{_wrap(node[1], 3)}"
-    if kind in ("add", "sub"):
-        op = "+" if kind == "add" else "-"
-        return f"{_wrap(node[1], 1)} {op} {_wrap(node[2], 2, right=True)}"
-    if kind in ("mul", "inner"):
-        op = "*" if kind == "mul" else "#"
-        return f"{_wrap(node[1], 2)} {op} {_wrap(node[2], 3, right=True)}"
-    if kind == "pleth":
-        return f"{_wrap(node[1], 3)} o {_wrap(node[2], 4, right=True)}"
-    if kind == "call":
-        return f"{node[1]}({', '.join(render_ast(a) for a in node[2])})"
-    raise ValueError(f"unknown node {kind!r}")
-
-
-_LEVEL = {"add": 1, "sub": 1, "mul": 2, "inner": 2, "pleth": 3, "neg": 3,
-          "num": 9, "atom": 9, "call": 9}
-
-
-def _wrap(node, level: int, right: bool = False) -> str:
-    text = render_ast(node)
-    own = _LEVEL[node[0]]
-    if own < level or (right and own == level and node[0] in
-                       ("add", "sub", "mul", "inner", "pleth")):
-        return f"({text})"
-    return text
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
-_ATOM_MAKERS = {
-    "s": schur, "h": homog, "e": elem, "p": power, "m": mono,
-    "A": angle, "P": dangle,
-    "ts": lambda lam: tilde_s(tuple(lam)),
-    "th": lambda lam: tilde_h(tuple(lam)),
-    "tx": lambda lam: tilde_x(tuple(lam)),
-}
+_ATOM_MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
+# Every other value comes from symcalc.stable, so a node that may meet
+# one imports it, as each node imports alphabets or innerpleth if it runs.
+_PLAIN = (SymExpr, Fraction)
+_INNER = "'#' needs two symmetric functions or two stable characters"
+
+
+def _stable_atom(name: str, lam: tuple):
+    from . import stable
+    return {"A": stable.angle, "P": stable.dangle, "ts": stable.tilde_s,
+            "th": stable.tilde_h, "tx": stable.tilde_x}[name](tuple(lam))
 
 
 def _as_symexpr(v, what: str) -> SymExpr:
@@ -249,14 +212,45 @@ def evaluate(node):
     if kind == "num":
         return node[1]
     if kind == "atom":
-        return _ATOM_MAKERS[node[1]](node[2])
-    if kind in ("neg", "add", "sub", "mul"):
+        if node[1] in _ATOM_MAKERS:
+            return _ATOM_MAKERS[node[1]](node[2])
+        return _stable_atom(node[1], node[2])
+    if kind in ("neg", "add", "sub", "mul", "inner"):
         args = [evaluate(arg) for arg in node[1:]]
-        if any(isinstance(v, CharPolynomial) for v in args):
-            raise EvalError("character polynomials take no '+', '-' or '*'")
+        if not all(isinstance(v, _PLAIN) for v in args):
+            return _stable_op(kind, *args)
         if kind == "neg":
             return -args[0]
         a, b = args
+        if kind in ("add", "sub"):
+            return a + b if kind == "add" else a - b
+        if isinstance(a, SymExpr) and isinstance(b, SymExpr):
+            return multiply(a, b) if kind == "mul" else internal(a, b)
+        if kind == "mul":
+            return a * b
+        raise EvalError(_INNER)
+    if kind == "pleth":
+        from .alphabets import outer_plethysm
+        a = _as_symexpr(evaluate(node[1]), "plethysm")
+        b = _as_symexpr(evaluate(node[2]), "plethysm")
+        return outer_plethysm(a, b)
+    if kind == "call":
+        return _call(node[1], node[2])
+    raise EvalError(f"unknown node {kind!r}")
+
+
+def _stable_op(kind: str, *args):
+    """An operator on values one of which symcalc.stable made."""
+    from .stable import CharPolynomial, StableChar, angle, stable_kron
+    if kind == "inner":
+        if all(isinstance(v, StableChar) for v in args):
+            return stable_kron(*args)
+        raise EvalError(_INNER)
+    if any(isinstance(v, CharPolynomial) for v in args):
+        raise EvalError("character polynomials take no '+', '-' or '*'")
+    if kind == "neg":
+        return -args[0]
+    a, b = args
     if kind in ("add", "sub"):
         if isinstance(a, StableChar) != isinstance(b, StableChar):
             if isinstance(a, Fraction):
@@ -267,32 +261,12 @@ def evaluate(node):
                 raise EvalError("cannot mix stable characters with "
                                 "symmetric functions in a sum")
         return a + b if kind == "add" else a - b
-    if kind == "mul":
-        if isinstance(a, StableChar) and isinstance(b, StableChar):
-            raise EvalError("use '#' for products of stable characters")
-        if isinstance(a, StableChar) or isinstance(b, StableChar):
-            sc, other = (a, b) if isinstance(a, StableChar) else (b, a)
-            if isinstance(other, Fraction):
-                return sc * other
-            raise EvalError("stable characters only scale by numbers")
-        if isinstance(a, SymExpr) and isinstance(b, SymExpr):
-            return multiply(a, b)
-        return a * b
-    if kind == "inner":
-        a, b = evaluate(node[1]), evaluate(node[2])
-        if isinstance(a, StableChar) and isinstance(b, StableChar):
-            return stable_kron(a, b)
-        if isinstance(a, SymExpr) and isinstance(b, SymExpr):
-            return internal(a, b)
-        raise EvalError("'#' needs two symmetric functions or two "
-                        "stable characters")
-    if kind == "pleth":
-        a = _as_symexpr(evaluate(node[1]), "plethysm")
-        b = _as_symexpr(evaluate(node[2]), "plethysm")
-        return outer_plethysm(a, b)
-    if kind == "call":
-        return _call(node[1], node[2])
-    raise EvalError(f"unknown node {kind!r}")
+    if isinstance(a, StableChar) and isinstance(b, StableChar):
+        raise EvalError("use '#' for products of stable characters")
+    sc, other = (a, b) if isinstance(a, StableChar) else (b, a)
+    if isinstance(other, Fraction):
+        return sc * other
+    raise EvalError("stable characters only scale by numbers")
 
 
 def _arity(name, args, n):
@@ -305,8 +279,11 @@ def _call(name: str, args):
         _arity(name, args, 2)
         g = _as_symexpr(evaluate(args[0]), "ihat")
         f = evaluate(args[1])
-        if isinstance(f, StableChar):
-            return stable_inner_plethysm(g, f)
+        if not isinstance(f, _PLAIN):
+            from .stable import StableChar, stable_inner_plethysm
+            if isinstance(f, StableChar):
+                return stable_inner_plethysm(g, f)
+        from .innerpleth import inner_plethysm
         return inner_plethysm(g, _as_symexpr(f, "ihat"))
     if name == "D":
         _arity(name, args, 2)
@@ -317,12 +294,14 @@ def _call(name: str, args):
         return hall_scalar(_as_symexpr(evaluate(args[0]), "sp"),
                            _as_symexpr(evaluate(args[1]), "sp"))
     if name == "shift":
+        from .alphabets import shift_alphabet
         _arity(name, args, 2)
         c = evaluate(args[1])
         if not isinstance(c, Fraction) or c not in (1, -1):
             raise EvalError("shift direction must be 1 or -1")
         return shift_alphabet(_as_symexpr(evaluate(args[0]), "shift"), int(c))
     if name == "eval_n":
+        from .stable import StableChar, evaluate_at_n
         _arity(name, args, 2)
         x = evaluate(args[0])
         n = evaluate(args[1])
@@ -332,6 +311,7 @@ def _call(name: str, args):
             raise EvalError("eval_n requires a nonnegative integer")
         return evaluate_at_n(x, int(n))
     if name == "charpoly":
+        from .stable import character_polynomial
         _arity(name, args, 1)
         lam = args[0]
         if lam[0] != "atom" or lam[1] not in ("s", "A"):

@@ -115,13 +115,6 @@ def canonical_key(lam: tuple) -> tuple:
     return (sum(lam), tuple(-x for x in lam))
 
 
-def contains(lam: tuple, mu: tuple) -> bool:
-    """Diagram containment mu subseteq lam."""
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
-
-
 def horizontal_strip_subshapes(lam: tuple) -> list:
     """All alpha subseteq lam such that lam/alpha is a horizontal strip.
 

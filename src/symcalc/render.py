@@ -10,9 +10,10 @@ coefficient and the name.  ``coeffs.join_terms`` joins the term texts;
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .coeffs import ParamPoly, coeff_to_json, format_coeff, join_terms
 from .partitions import canonical_key, multiplicities
-from .stable import CharPolynomial, StableChar, to_angle_basis
 from .symfunc import SymExpr
 
 
@@ -82,6 +83,7 @@ def render_symexpr(f: SymExpr, fmt: str = "text", order: str = "desc") -> str:
 
 
 def render_stable(sc: StableChar, fmt: str = "text") -> str:
+    from .stable import to_angle_basis
     coeffs = to_angle_basis(sc)
     if fmt == "json":
         items = sorted(coeffs.items(), key=lambda kv: canonical_key(kv[0]))
@@ -116,10 +118,13 @@ def render_charpoly(cp: CharPolynomial, fmt: str = "text") -> str:
 def render_value(value, fmt: str = "text", order: str = "desc") -> str:
     if isinstance(value, SymExpr):
         return render_symexpr(value, fmt, order)
-    if isinstance(value, StableChar):
-        return render_stable(value, fmt)
-    if isinstance(value, CharPolynomial):
-        return render_charpoly(value, fmt)
+    if not isinstance(value, (int, Fraction, ParamPoly)):
+        # only symcalc.stable makes such values, so it is loaded already
+        from .stable import CharPolynomial, StableChar
+        if isinstance(value, StableChar):
+            return render_stable(value, fmt)
+        if isinstance(value, CharPolynomial):
+            return render_charpoly(value, fmt)
     if fmt == "json":
         return _json({"scalar": coeff_to_json(value)})
     return format_coeff(value, latex=(fmt == "latex"))

@@ -28,8 +28,7 @@ from functools import lru_cache, partial, reduce
 from math import comb, factorial, prod
 from operator import add, mul
 
-from .coeffs import (Coeff, ParamPoly, coeff_from_json, coeff_subs,
-                     coeff_to_json)
+from .coeffs import Coeff, ParamPoly, coeff_from_json, coeff_to_json
 from .partitions import (canonical_key, class_position, conjugate,
                          multiplicities, partition, partitions_of, z_value)
 
@@ -99,9 +98,6 @@ class SymExpr:
 
     def map_coeffs(self, fn) -> "SymExpr":
         return SymExpr(self.basis, {lam: fn(c) for lam, c in self.terms.items()})
-
-    def subs_params(self, values: dict) -> "SymExpr":
-        return self.map_coeffs(lambda c: coeff_subs(c, values))
 
     # -- ring structure --------------------------------------------------
 

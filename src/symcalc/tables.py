@@ -26,9 +26,14 @@ from functools import partial
 
 from .partitions import canonical_key, partitions_up_to
 from .render import render_terms
-from .stable import tilde_h, transition
 
-_C, _A = partial(transition, "c"), partial(transition, "a")
+
+def _transition(kind: str, max_degree: int) -> dict:
+    from .stable import transition  # the CLI loads tables for SECTIONS
+    return transition(kind, max_degree)
+
+
+_C, _A = partial(_transition, "c"), partial(_transition, "a")
 
 
 def _pname(lam) -> str:
@@ -37,6 +42,7 @@ def _pname(lam) -> str:
 
 def _perm_chars(max_degree: int) -> dict:
     """{(lam, mu): [h_mu] h~_lam}, the inverse of transition("c")."""
+    from .stable import tilde_h
     return {(lam, mu): c for lam in filter(None, partitions_up_to(max_degree))
             for mu, c in tilde_h(lam).terms.items()}
 

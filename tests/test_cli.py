@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from symcalc.cli import main
-from symcalc.expr import evaluate, parse, render_ast
+from symcalc.expr import evaluate, parse
 
 EXPRESSIONS = [
     "s[4,1] # s[4,1]",
@@ -22,6 +22,42 @@ EXPRESSIONS = [
     "A[2] # (A[1] # A[1])",
     "3/2 * tx[2,1]",
 ]
+
+
+def render_ast(node) -> str:
+    """Canonical text for an AST; parse(render_ast(x)) == x."""
+    kind = node[0]
+    if kind == "num":
+        c = node[1]
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    if kind == "atom":
+        return f"{node[1]}[{','.join(map(str, node[2]))}]"
+    if kind == "neg":
+        return f"-{_wrap(node[1], 3)}"
+    if kind in ("add", "sub"):
+        op = "+" if kind == "add" else "-"
+        return f"{_wrap(node[1], 1)} {op} {_wrap(node[2], 2, right=True)}"
+    if kind in ("mul", "inner"):
+        op = "*" if kind == "mul" else "#"
+        return f"{_wrap(node[1], 2)} {op} {_wrap(node[2], 3, right=True)}"
+    if kind == "pleth":
+        return f"{_wrap(node[1], 3)} o {_wrap(node[2], 4, right=True)}"
+    if kind == "call":
+        return f"{node[1]}({', '.join(render_ast(a) for a in node[2])})"
+    raise ValueError(f"unknown node {kind!r}")
+
+
+_LEVEL = {"add": 1, "sub": 1, "mul": 2, "inner": 2, "pleth": 3, "neg": 3,
+          "num": 9, "atom": 9, "call": 9}
+
+
+def _wrap(node, level: int, right: bool = False) -> str:
+    text = render_ast(node)
+    own = _LEVEL[node[0]]
+    if own < level or (right and own == level and node[0] in
+                       ("add", "sub", "mul", "inner", "pleth")):
+        return f"({text})"
+    return text
 
 
 @pytest.mark.parametrize("text", EXPRESSIONS)

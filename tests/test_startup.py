@@ -195,3 +195,113 @@ def test_unusable_cache_dir_warning_keeps_its_text(tmp_path):
                                   "unusable (")
     assert proc.stderr.endswith(f"{cache!r}); using memory only\n")
     assert proc.stderr.count("\n") == 1
+
+
+# -- lean processes: sha256 without OpenSSL, stable only where it is used ----
+
+
+def test_a_cached_tables_process_never_loads_hashlib(tmp_path):
+    cache = str(tmp_path / "cache")
+    argv = ["--cache", cache, "tables", "--section", "h-on-tilde-h",
+            "--max-degree", "3"]
+    for _ in ("cold", "warm"):
+        loaded = _loaded(_cli(argv))
+        assert "symcalc.cache" in loaded
+        assert not loaded & {"hashlib", "_hashlib"}
+    assert os.listdir(cache)
+
+
+def test_stored_checksum_is_the_hashlib_sha256_of_the_payload(tmp_path):
+    import hashlib
+    cache = str(tmp_path / "cache")
+    proc = subprocess.run([sys.executable, "-m", "symcalc.cli", "--cache",
+                           cache, "tables", "--section", "perm-chars",
+                           "--max-degree", "4"], capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == b""
+    names = sorted(os.listdir(cache))
+    assert names
+    for name in names:
+        with open(os.path.join(cache, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        text = json.dumps(doc["payload"], sort_keys=True)
+        assert doc["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_checksum_falls_back_to_hashlib(monkeypatch):
+    import hashlib
+    from symcalc import cache
+    text = json.dumps({"⟨h2⟩": ["1", "1"]}, sort_keys=True)
+    want = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    monkeypatch.setattr(cache, "_new_sha256", None)
+    assert cache._checksum(text) == want
+    assert cache._new_sha256.__module__ in ("_sha256", "_sha2")
+    # an import of a module set to None in sys.modules raises ImportError
+    for builtin in ("_sha256", "_sha2"):
+        monkeypatch.setitem(sys.modules, builtin, None)
+    monkeypatch.setattr(cache, "_new_sha256", None)
+    assert cache._checksum(text) == want
+    assert cache._new_sha256 is hashlib.sha256
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "1"], ["eval", "s[2,1] # s[2,1]"], ["braid", "--n", "3"],
+    ["endofunctions", "--n", "3"]])
+def test_commands_without_stable_objects_skip_stable(argv):
+    loaded = _loaded(_cli(argv))
+    assert "symcalc.render" in loaded
+    assert "symcalc.stable" not in loaded
+
+
+def test_an_internal_product_skips_alphabets():
+    loaded = _loaded(_cli(["eval", "s[2]#s[2]"]))
+    assert "symcalc.expr" in loaded
+    assert not loaded & {"symcalc.stable", "symcalc.alphabets",
+                         "symcalc.innerpleth"}
+
+
+# -- malformed cache entries are recomputed, not fatal -----------------------
+
+
+@pytest.mark.parametrize("content", [b"[1]", b"null", b"\xff\xfe"])
+def test_malformed_entry_is_one_warning_and_a_recompute(content, tmp_path):
+    cache = str(tmp_path / "cache")
+    argv = [sys.executable, "-m", "symcalc.cli", "--cache", cache, "tables",
+            "--section", "h-on-tilde-h", "--max-degree", "3"]
+    want = subprocess.run(argv[:3] + argv[5:], capture_output=True)
+    assert want.returncode == 0 and want.stderr == b""
+    assert subprocess.run(argv, capture_output=True).returncode == 0
+    path = os.path.join(cache, "plethH-2.json")
+    assert os.path.exists(path)
+    with open(path, "wb") as fh:
+        fh.write(content)
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, want.stdout.decode())
+    assert proc.stderr.startswith("WARNING symcalc.cache: cache entry ")
+    assert proc.stderr.count("\n") == 1
+    assert "plethH-2.json unreadable (" in proc.stderr
+    assert proc.stderr.endswith("); recomputing\n")
+    # the recomputed entry was stored again, and reads back silently
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, want.stdout.decode(), "")
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"[1]", "not a JSON object"), (b"\xff\xfe", "can't decode byte")])
+def test_get_rejects_a_malformed_entry_on_the_cache_logger(content, reason,
+                                                           tmp_path):
+    cache = PersistentCache(tmp_path)
+    cache.put("kind", "key", {"value": 1})
+    with open(cache._path("kind", "key"), "wb") as fh:
+        fh.write(content)
+    handler = _Records()
+    logger = logging.getLogger("symcalc.cache")
+    logger.addHandler(handler)
+    try:
+        assert cache.get("kind", "key") is None
+    finally:
+        logger.removeHandler(handler)
+    assert [r.name for r in handler.records] == ["symcalc.cache"]
+    message = handler.records[0].getMessage()
+    assert "unreadable (" in message and reason in message
+    assert message.endswith("; recomputing")
