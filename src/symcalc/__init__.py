@@ -18,9 +18,10 @@ _EXPORTS = {
     "innerpleth": "adams eigenvalue_eval graded_poly_char inner_plethysm "
                   "perm_char",
     "stable": "CharPolynomial StableChar angle character_polynomial dangle "
-              "evaluate_at_n reduced_kron stable_inner_plethysm stable_kron "
+              "evaluate_at_n mixed_product reduced_kron "
+              "stable_coproduct_tilde_s stable_inner_plethysm stable_kron "
               "tilde_h tilde_h_expand tilde_s tilde_x to_angle_basis "
-              "transition vector_partition_count",
+              "transition",
     "symfunc": "SymExpr convert elem foulkes_derivative hall_scalar homog "
                "internal lr_coefficient mn_character mono multiply omega "
                "power schur skew_schur",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .cache import set_cache_dir
@@ -149,7 +148,7 @@ def _run(args) -> int:
     if args.command == "endofunctions":
         from .apps import endofunction_signature
         sig = endofunction_signature(args.n)
-        total = sum(sig.terms.values(), Fraction(0))
+        total = sig.subs(dict.fromkeys(sig.params, 1))
         out.write(f"{format_coeff(sig)}\n")
         out.write(f"total (all weights 1): {total}\n")
         return EXIT_OK

@@ -115,27 +115,6 @@ def canonical_key(lam: tuple) -> tuple:
     return (sum(lam), tuple(-x for x in lam))
 
 
-def horizontal_strip_subshapes(lam: tuple) -> list:
-    """All alpha subseteq lam such that lam/alpha is a horizontal strip.
-
-    These are the alpha interlacing lam: lam_{i+1} <= alpha_i <= lam_i.
-    """
-    rows = len(lam)
-    out: list = []
-
-    def rec(i: int, prefix: tuple):
-        if i == rows:
-            out.append(tuple(x for x in prefix if x > 0))
-            return
-        lo = lam[i + 1] if i + 1 < rows else 0
-        hi = min(lam[i], prefix[-1]) if prefix else lam[i]
-        for a in range(hi, lo - 1, -1):
-            rec(i + 1, prefix + (a,))
-
-    rec(0, ())
-    return out
-
-
 def horizontal_strip_supershapes(nu: tuple, k: int) -> list:
     """All lam supseteq nu such that lam/nu is a horizontal strip of size k.
 

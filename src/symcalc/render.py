@@ -70,7 +70,7 @@ def render_terms(terms: dict, name, order: str, sep: str,
                       for lam in sorted(terms, key=key))
 
 
-def render_symexpr(f: SymExpr, fmt: str = "text", order: str = "desc") -> str:
+def render_symexpr(f: SymExpr, fmt: str = "text") -> str:
     if fmt == "json":
         return _json(f.to_json())
     latex = fmt == "latex"
@@ -79,7 +79,7 @@ def render_symexpr(f: SymExpr, fmt: str = "text", order: str = "desc") -> str:
         if latex:
             return f"{f.basis}_{{{''.join(map(str, lam)) or 0}}}"
         return f"{f.basis}[{','.join(map(str, lam))}]"
-    return render_terms(f.terms, name, order, "" if latex else "*", latex)
+    return render_terms(f.terms, name, "desc", "" if latex else "*", latex)
 
 
 def render_stable(sc: StableChar, fmt: str = "text") -> str:
@@ -115,9 +115,9 @@ def render_charpoly(cp: CharPolynomial, fmt: str = "text") -> str:
     return render_terms(cp.terms, name, "asc", "" if latex else "*", latex)
 
 
-def render_value(value, fmt: str = "text", order: str = "desc") -> str:
+def render_value(value, fmt: str = "text") -> str:
     if isinstance(value, SymExpr):
-        return render_symexpr(value, fmt, order)
+        return render_symexpr(value, fmt)
     if not isinstance(value, (int, Fraction, ParamPoly)):
         # only symcalc.stable makes such values, so it is loaded already
         from .stable import CharPolynomial, StableChar

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, prod
 
 from .alphabets import _pleth_adjoint, _tails, invert_sigma, shift_alphabet
@@ -96,23 +95,6 @@ def angle(lam) -> StableChar:
 def dangle(mu) -> StableChar:
     """<<mu>> = sigma_1 h_mu, the stable permutation character."""
     return StableChar(homog(mu))
-
-
-def straighten_schur(alpha):
-    """Normalize s_alpha for an arbitrary integer vector alpha.
-
-    Returns (sign, partition), or None when the Jacobi-Trudi determinant
-    vanishes (a repeated or negative shifted index).
-    """
-    alpha = tuple(alpha)
-    k = len(alpha)
-    beta = [alpha[i] + (k - 1 - i) for i in range(k)]
-    if any(b < 0 for b in beta) or len(set(beta)) < k:
-        return None
-    # the sign is the parity of the permutation sorting beta decreasingly
-    sign = (-1) ** sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
-    lam = [b - (k - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))]
-    return sign, partition(x for x in lam if x)
 
 
 def evaluate_at_n(sc: StableChar, n: int) -> SymExpr:
@@ -193,10 +175,6 @@ def to_angle_basis(sc: StableChar) -> dict:
     return convert(shift_alphabet(sc.reduced, 1), "s").terms
 
 
-def from_angle_basis(coeffs: dict) -> StableChar:
-    return StableChar(shift_alphabet(SymExpr("s", coeffs), -1))
-
-
 def _integral_angle_coeffs(sc: StableChar, what: str) -> dict:
     """to_angle_basis(sc) as ints; a non-integer coefficient is an error."""
     out = {}
@@ -233,9 +211,6 @@ class CharPolynomial:
     def evaluate(self, mults: dict) -> int:
         """Value at cycle multiplicities {i: m_i}."""
         return _binomial_value(self.terms, mults)
-
-    def eval_cycle_type(self, mu) -> int:
-        return self.evaluate(multiplicities(partition(mu)))
 
     def to_json(self):
         return [{"nu": list(nu), "coeff": c}
@@ -380,36 +355,6 @@ def transition(kind: str, degree_cap: int) -> dict:
     else:
         raise ValueError(f"unknown transition kind {kind!r}")
     return {(lam, mu): c for lam, row in rows for mu, c in row.items() if c}
-
-
-def vector_partition_count(lam, mu) -> int:
-    """Multisets of nonzero columns with row sums lam and column
-    multiplicity multiset mu (matrices up to column permutation)."""
-    lam, mu = partition(lam), partition(mu)
-    if not lam:
-        return 1 if not mu else 0
-    k = len(lam)
-
-    vectors = [v for v in product(*(range(x + 1) for x in lam)) if any(v)]
-
-    @lru_cache(maxsize=None)
-    def count(idx: int, rest: tuple, parts: tuple) -> int:
-        if not parts:
-            return 1 if not any(rest) else 0
-        if idx == len(vectors):
-            return 0
-        total = count(idx + 1, rest, parts)
-        vec = vectors[idx]
-        for a in sorted(set(parts), reverse=True):
-            if all(a * vec[i] <= rest[i] for i in range(k)):
-                nxt = list(parts)
-                nxt.remove(a)
-                total += count(idx + 1,
-                               tuple(rest[i] - a * vec[i] for i in range(k)),
-                               tuple(nxt))
-        return total
-
-    return count(0, lam, mu)
 
 
 def stable_coproduct_tilde_s(lam) -> dict:

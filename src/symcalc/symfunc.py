@@ -83,11 +83,6 @@ class SymExpr:
     def is_homogeneous(self) -> bool:
         return len({sum(lam) for lam in self.terms}) <= 1
 
-    def homogeneous_component(self, d: int) -> "SymExpr":
-        return SymExpr(self.basis,
-                       {lam: c for lam, c in self.terms.items()
-                        if sum(lam) == d})
-
     def truncate(self, cap: int) -> "SymExpr":
         return SymExpr(self.basis,
                        {lam: c for lam, c in self.terms.items()
@@ -95,9 +90,6 @@ class SymExpr:
 
     def coefficient(self, lam) -> Coeff:
         return self.terms.get(tuple(lam), Fraction(0))
-
-    def map_coeffs(self, fn) -> "SymExpr":
-        return SymExpr(self.basis, {lam: fn(c) for lam, c in self.terms.items()})
 
     # -- ring structure --------------------------------------------------
 

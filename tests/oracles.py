@@ -1,0 +1,104 @@
+"""Reference helpers that only the tests use.
+
+Each is a plain function over the library's public objects: straightening
+of s_alpha, the vector-partition count behind the c matrix, the inverse
+of ``to_angle_basis``, the horizontal strips below a shape, a character
+polynomial at one cycle type and two small maps on a ``SymExpr``.
+"""
+
+from functools import lru_cache
+from itertools import product
+
+from symcalc.alphabets import shift_alphabet
+from symcalc.partitions import multiplicities, partition
+from symcalc.stable import StableChar
+from symcalc.symfunc import SymExpr
+
+
+def straighten_schur(alpha):
+    """Normalize s_alpha for an arbitrary integer vector alpha.
+
+    Returns (sign, partition), or None when the Jacobi-Trudi determinant
+    vanishes (a repeated or negative shifted index).
+    """
+    alpha = tuple(alpha)
+    k = len(alpha)
+    beta = [alpha[i] + (k - 1 - i) for i in range(k)]
+    if any(b < 0 for b in beta) or len(set(beta)) < k:
+        return None
+    # the sign is the parity of the permutation sorting beta decreasingly
+    sign = (-1) ** sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
+    lam = [b - (k - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))]
+    return sign, partition(x for x in lam if x)
+
+
+def vector_partition_count(lam, mu) -> int:
+    """Multisets of nonzero columns with row sums lam and column
+    multiplicity multiset mu (matrices up to column permutation)."""
+    lam, mu = partition(lam), partition(mu)
+    if not lam:
+        return 1 if not mu else 0
+    k = len(lam)
+
+    vectors = [v for v in product(*(range(x + 1) for x in lam)) if any(v)]
+
+    @lru_cache(maxsize=None)
+    def count(idx: int, rest: tuple, parts: tuple) -> int:
+        if not parts:
+            return 1 if not any(rest) else 0
+        if idx == len(vectors):
+            return 0
+        total = count(idx + 1, rest, parts)
+        vec = vectors[idx]
+        for a in sorted(set(parts), reverse=True):
+            if all(a * vec[i] <= rest[i] for i in range(k)):
+                nxt = list(parts)
+                nxt.remove(a)
+                total += count(idx + 1,
+                               tuple(rest[i] - a * vec[i] for i in range(k)),
+                               tuple(nxt))
+        return total
+
+    return count(0, lam, mu)
+
+
+def from_angle_basis(coeffs: dict) -> StableChar:
+    """The stable character sum c_nu <nu>, the inverse of to_angle_basis."""
+    return StableChar(shift_alphabet(SymExpr("s", coeffs), -1))
+
+
+def horizontal_strip_subshapes(lam: tuple) -> list:
+    """All alpha subseteq lam such that lam/alpha is a horizontal strip.
+
+    These are the alpha interlacing lam: lam_{i+1} <= alpha_i <= lam_i.
+    """
+    rows = len(lam)
+    out: list = []
+
+    def rec(i: int, prefix: tuple):
+        if i == rows:
+            out.append(tuple(x for x in prefix if x > 0))
+            return
+        lo = lam[i + 1] if i + 1 < rows else 0
+        hi = min(lam[i], prefix[-1]) if prefix else lam[i]
+        for a in range(hi, lo - 1, -1):
+            rec(i + 1, prefix + (a,))
+
+    rec(0, ())
+    return out
+
+
+def eval_cycle_type(cp, mu) -> int:
+    """The character polynomial cp at the cycle type mu."""
+    return cp.evaluate(multiplicities(partition(mu)))
+
+
+def homogeneous_component(f: SymExpr, d: int) -> SymExpr:
+    """The terms of f of degree d."""
+    return SymExpr(f.basis,
+                   {lam: c for lam, c in f.terms.items() if sum(lam) == d})
+
+
+def map_coeffs(f: SymExpr, fn) -> SymExpr:
+    """fn applied to every coefficient of f."""
+    return SymExpr(f.basis, {lam: fn(c) for lam, c in f.terms.items()})

@@ -23,6 +23,7 @@ from symcalc.partitions import multiplicities, partitions_up_to
 from symcalc.render import render_symexpr
 from symcalc.symfunc import (SymExpr, convert, hall_scalar, homog, power,
                              schur)
+from oracles import homogeneous_component
 from test_plethysm_adjoint import _ref_stable_cohomology, _same
 
 
@@ -75,7 +76,7 @@ def _ref_braid_poincare(n: int) -> list:
     """The generating identity sum_i (-t)^i ch H^{n-i} = degree-n part of
     prod_{k>=1} (1+p_k)^{ell_k(t)}, re-indexed so that entry i is H^i."""
     exponents = [_necklace_poly(i, n) for i in range(1, n + 1)]
-    series = binomial_exp_product(exponents, n).expr.homogeneous_component(n)
+    series = homogeneous_component(binomial_exp_product(exponents, n).expr, n)
     series = convert(series, "s")
     out = [SymExpr("s") for _ in range(n)]
     for lam, c in series.terms.items():

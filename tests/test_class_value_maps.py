@@ -30,6 +30,7 @@ from symcalc.stable import (StableChar, _pkey, _pleth_columns, angle, dangle,
 from symcalc.symfunc import (SymExpr, foulkes_derivative, hall_scalar, homog,
                              mono, multiply, power, schur)
 from symcalc.tables import SECTIONS, render_table
+from oracles import homogeneous_component
 from test_cli import run_cli
 
 
@@ -41,7 +42,7 @@ def _old_invert_sigma(cap):
     m = TruncatedSeries(power([1]), cap)
     for d in range(2, cap + 1):
         err = outer_plethysm(s.expr, m).expr - power([1])
-        m = TruncatedSeries(m.expr - err.homogeneous_component(d), cap)
+        m = TruncatedSeries(m.expr - homogeneous_component(err, d), cap)
     return m
 
 
@@ -49,7 +50,7 @@ def _old_pleth_rows(series, d):
     s = {"H": sigma_minus_one, "M": _old_invert_sigma}[series](max(d, 1))
     rows = {lam: {} for lam in partitions_of(d)}
     for mu in partitions_up_to(d):
-        col = outer_plethysm(mono(mu), s).expr.homogeneous_component(d)
+        col = homogeneous_component(outer_plethysm(mono(mu), s).expr, d)
         for lam, c in col.terms.items():
             rows[lam][mu] = c
     return rows

@@ -32,6 +32,7 @@ from symcalc.symfunc import (SymExpr, _as_int, _class_values,
                              _vectors, convert, elem, homog, mono, power,
                              schur)
 
+from oracles import map_coeffs
 from test_class_vectors import _add_scaled
 from test_cli import run_cli
 
@@ -117,8 +118,8 @@ def test_stable_inner_plethysm_raises_parameters_to_the_kth_power(f, k):
     stable = stable_inner_plethysm(power([k]), sc)
     assert any(isinstance(c, ParamPoly) for c in stable.reduced.terms.values())
     for n in range(1, 8):
-        at_n = evaluate_at_n(sc, n).map_coeffs(
-            lambda c: coeff_frobenius(c, k))
+        at_n = map_coeffs(evaluate_at_n(sc, n),
+                          lambda c: coeff_frobenius(c, k))
         assert evaluate_at_n(stable, n) == \
             inner_plethysm(power([k]), at_n), n
 

@@ -23,10 +23,10 @@ PUBLIC = {
     "innerpleth": ["adams", "eigenvalue_eval", "graded_poly_char",
                    "inner_plethysm", "perm_char"],
     "stable": ["CharPolynomial", "StableChar", "angle", "character_polynomial",
-               "dangle", "evaluate_at_n", "reduced_kron",
-               "stable_inner_plethysm", "stable_kron", "tilde_h",
-               "tilde_h_expand", "tilde_s", "tilde_x", "to_angle_basis",
-               "transition", "vector_partition_count"],
+               "dangle", "evaluate_at_n", "mixed_product", "reduced_kron",
+               "stable_coproduct_tilde_s", "stable_inner_plethysm",
+               "stable_kron", "tilde_h", "tilde_h_expand", "tilde_s",
+               "tilde_x", "to_angle_basis", "transition"],
     "symfunc": ["SymExpr", "convert", "elem", "foulkes_derivative",
                 "hall_scalar", "homog", "internal", "lr_coefficient",
                 "mn_character", "mono", "multiply", "omega", "power",
@@ -41,7 +41,7 @@ def _defined(name):
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 51
+    assert len(NAMES) == 52
     assert sorted(symcalc.__all__) == NAMES
 
 
@@ -62,6 +62,15 @@ def test_star_import_and_dir():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         symcalc.no_such_name
+
+
+def test_coproduct_and_mixed_product_through_the_lazy_exports():
+    from symcalc import stable
+    assert (symcalc.stable_coproduct_tilde_s((2, 1))
+            == stable.stable_coproduct_tilde_s((2, 1)))
+    assert (symcalc.mixed_product((1,), (1,))
+            == stable.mixed_product((1,), (1,))
+            == {(2,): 1, (1, 1): 1, (1,): 2, (): 1})
 
 
 # -- import footprint --------------------------------------------------------
