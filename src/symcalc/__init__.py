@@ -22,9 +22,9 @@ _EXPORTS = {
               "stable_coproduct_tilde_s stable_inner_plethysm stable_kron "
               "tilde_h tilde_h_expand tilde_s tilde_x to_angle_basis "
               "transition",
-    "symfunc": "SymExpr convert elem foulkes_derivative hall_scalar homog "
-               "internal lr_coefficient mn_character mono multiply omega "
-               "power schur skew_schur",
+    "symfunc": "SymExpr character_table convert elem foulkes_derivative "
+               "hall_scalar homog internal lr_coefficient mn_character mono "
+               "multiply omega power schur skew_schur",
 }
 _HOME = {n: mod for mod, names in _EXPORTS.items() for n in names.split()}
 __all__ = list(_HOME)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .coeffs import Coeff, ParamPoly, coeff_frobenius
 from .partitions import partitions_of
@@ -49,8 +49,7 @@ class TruncatedSeries:
         return TruncatedSeries(-self.expr, self.cap)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (TruncatedSeries, SymExpr))
-                       else -1 * other)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -194,19 +193,13 @@ def scale_alphabet(f: SymExpr, mode: str, qcap: int) -> SymExpr:
         raise ValueError("qcap must be nonnegative")
     if mode not in ("(1-q)X", "X/(1-q)"):
         raise ValueError(f"unknown mode {mode!r}")
-    caps = {"q": qcap}
-    out = []
-    for nu, c in _keyed(_class_sums(f)):
-        factor = ParamPoly.const(1, ("q",), caps)
-        for k in nu:
-            if mode == "(1-q)X":
-                fk = ParamPoly(("q",), {(0,): 1, (k,): -1}, caps)
-            else:
-                fk = ParamPoly(("q",),
-                               {(j,): 1 for j in range(0, qcap + 1, k)}, caps)
-            factor = factor * fk
-        out.append((nu, c * factor))
-    return _from_class_sums(_vectors(out), f.basis)
+    q, one = ParamPoly.var("q", qcap), ParamPoly.const(1, ("q",), {"q": qcap})
+    factor = {k: 1 - q ** k if mode == "(1-q)X"
+              else sum(q ** j for j in range(0, qcap + 1, k))
+              for k in range(1, f.degree() + 1)}
+    return _from_class_sums(_vectors(
+        (nu, c * prod(map(factor.get, nu), start=one))
+        for nu, c in _keyed(_class_sums(f))), f.basis)
 
 
 def sigma_series(kind: str = "sigma", sign: int = 1, cap: int = 6) -> TruncatedSeries:

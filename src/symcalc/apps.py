@@ -138,7 +138,7 @@ def stable_cohomology(i: int) -> StableChar:
         raise ValueError("i must be nonnegative")
     from .stable import StableChar
     if i == 0:
-        return StableChar(SymExpr("h", {(): Fraction(1)}))
+        return StableChar(SymExpr.one("h"))
     total = SymExpr("p")
     for d in range(i + 1, 2 * i + 1):
         for lam in partitions_of(d):

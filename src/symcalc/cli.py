@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_EVAL = 3
 EXIT_IO = 4
+FORMATS = ("text", "json", "latex")
 
 
 def _partition_arg(text: str):
@@ -70,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print only the terms of degree at most CAP "
                         "(default: no truncation; a note on stderr says "
                         "when terms were dropped)")
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
 
     p = sub.add_parser("tables", help="print a transition table")
     p.add_argument("--section", required=True, choices=SECTIONS)
@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braid", help="cohomology of the pure braid group")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
 
     p = sub.add_parser("reduced-kron", help="reduced Kronecker coefficients")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
@@ -89,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charpoly", help="character polynomial of a stable "
                                         "Schur character")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
 
     p = sub.add_parser("endofunctions",
                        help="cycle signature of the set of endofunctions")

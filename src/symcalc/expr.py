@@ -34,11 +34,15 @@ class ParseError(Exception):
 
 
 ATOMS = ("ts", "th", "tx", "s", "h", "e", "p", "m", "A", "P")
-FUNCTIONS = ("ihat", "D", "sp", "shift", "eval_n", "charpoly")
+FUNCTIONS = {"ihat": 2, "D": 2, "sp": 2, "shift": 2, "eval_n": 2,
+             "charpoly": 1}   # name -> number of arguments
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<int>\d+)"
                     r"|(?P<sym>[\[\](),+\-*#/]))")
+# The binary operators by precedence, low to high, each to its node.
+_BINARY = ({"+": "add", "-": "sub"}, {"*": "mul", "#": "inner"},
+           {"o": "pleth"})
 
 
 def tokenize(text: str):
@@ -49,12 +53,7 @@ def tokenize(text: str):
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
-        if m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("int"):
-            tokens.append(("int", m.group("int"), m.start("int")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -62,7 +61,6 @@ def tokenize(text: str):
 
 class Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.idx = 0
 
@@ -81,34 +79,21 @@ class Parser:
                              pos)
 
     def parse(self):
-        node = self.expr()
+        node = self.binary()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.pleth()
-        while self.peek()[1] in ("*", "#"):
-            op = self.next()[1]
-            rhs = self.pleth()
-            node = ("mul" if op == "*" else "inner", node, rhs)
-        return node
-
-    def pleth(self):
-        node = self.unary()
-        while self.peek()[1] == "o":
-            self.next()
-            rhs = self.unary()
-            node = ("pleth", node, rhs)
+    def binary(self, level: int = 0):
+        """A left-associative chain of the operators of ``_BINARY[level]``
+        over operands of the next level; below the last level, unary."""
+        if level == len(_BINARY):
+            return self.unary()
+        node = self.binary(level + 1)
+        while self.peek()[1] in _BINARY[level]:
+            node = (_BINARY[level][self.next()[1]], node,
+                    self.binary(level + 1))
         return node
 
     def unary(self):
@@ -134,7 +119,7 @@ class Parser:
             return ("num", Fraction(num))
         if val == "(":
             self.next()
-            node = self.expr()
+            node = self.binary()
             self.expect(")")
             return node
         if kind == "name":
@@ -144,10 +129,10 @@ class Parser:
             if val in FUNCTIONS:
                 self.next()
                 self.expect("(")
-                args = [self.expr()]
+                args = [self.binary()]
                 while self.peek()[1] == ",":
                     self.next()
-                    args.append(self.expr())
+                    args.append(self.binary())
                 self.expect(")")
                 return ("call", val, tuple(args))
             raise ParseError(f"unknown name {val!r}", pos)
@@ -269,14 +254,11 @@ def _stable_op(kind: str, *args):
     raise EvalError("stable characters only scale by numbers")
 
 
-def _arity(name, args, n):
-    if len(args) != n:
-        raise EvalError(f"{name} takes {n} arguments, got {len(args)}")
-
-
 def _call(name: str, args):
+    arity = FUNCTIONS.get(name)
+    if arity is not None and len(args) != arity:
+        raise EvalError(f"{name} takes {arity} arguments, got {len(args)}")
     if name == "ihat":
-        _arity(name, args, 2)
         g = _as_symexpr(evaluate(args[0]), "ihat")
         f = evaluate(args[1])
         if not isinstance(f, _PLAIN):
@@ -286,23 +268,19 @@ def _call(name: str, args):
         from .innerpleth import inner_plethysm
         return inner_plethysm(g, _as_symexpr(f, "ihat"))
     if name == "D":
-        _arity(name, args, 2)
         return foulkes_derivative(_as_symexpr(evaluate(args[0]), "D"),
                                   _as_symexpr(evaluate(args[1]), "D"))
     if name == "sp":
-        _arity(name, args, 2)
         return hall_scalar(_as_symexpr(evaluate(args[0]), "sp"),
                            _as_symexpr(evaluate(args[1]), "sp"))
     if name == "shift":
         from .alphabets import shift_alphabet
-        _arity(name, args, 2)
         c = evaluate(args[1])
         if not isinstance(c, Fraction) or c not in (1, -1):
             raise EvalError("shift direction must be 1 or -1")
         return shift_alphabet(_as_symexpr(evaluate(args[0]), "shift"), int(c))
     if name == "eval_n":
         from .stable import StableChar, evaluate_at_n
-        _arity(name, args, 2)
         x = evaluate(args[0])
         n = evaluate(args[1])
         if not isinstance(x, StableChar):
@@ -312,7 +290,6 @@ def _call(name: str, args):
         return evaluate_at_n(x, int(n))
     if name == "charpoly":
         from .stable import character_polynomial
-        _arity(name, args, 1)
         lam = args[0]
         if lam[0] != "atom" or lam[1] not in ("s", "A"):
             raise EvalError("charpoly takes a partition like charpoly(s[2,2])")

@@ -47,13 +47,6 @@ def z_value(mu: tuple) -> int:
     return z
 
 
-def conjugate(lam: tuple) -> tuple:
-    """Transpose of the Young diagram."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
-
-
 @lru_cache(maxsize=None)
 def power_cycle_type(mu: tuple, k: int) -> tuple:
     """Cycle type of tau^k when tau has cycle type mu.

@@ -29,8 +29,8 @@ from math import comb, factorial, prod
 from operator import add, mul
 
 from .coeffs import Coeff, ParamPoly, coeff_from_json, coeff_to_json
-from .partitions import (canonical_key, class_position, conjugate,
-                         multiplicities, partition, partitions_of, z_value)
+from .partitions import (canonical_key, class_position, multiplicities,
+                         partition, partitions_of, z_value)
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -466,14 +466,14 @@ def multiply(f: SymExpr, g: SymExpr, cap=None) -> SymExpr:
                                      .items()), f.basis)
 
 
-def _pair(chi: dict, sums: dict, scale: int = 1) -> Coeff:
-    """sum_n sum_{nu |- n} chi(nu) sums(nu) / (scale n!): the Hall pairing,
+def _pair(chi: dict, sums: dict) -> Coeff:
+    """sum_n sum_{nu |- n} chi(nu) sums(nu) / n!: the Hall pairing,
     a sum of the nonzero products with one division per degree."""
     total = Fraction(0)
     for n, vec in sums.items():
         terms = [c * s for c, s in zip(chi.get(n, ()), vec) if c and s]
         if terms:
-            total = total + _over(sum(terms), scale * factorial(n))
+            total = total + _over(sum(terms), factorial(n))
     return total
 
 
@@ -533,11 +533,3 @@ def lr_coefficient(mu, nu, lam) -> int:
 def skew_schur(lam, mu) -> SymExpr:
     """s_{lam/mu} = D_{s_mu} s_lam = sum_nu c^lam_{mu nu} s_nu."""
     return foulkes_derivative(schur(partition(mu)), schur(partition(lam)))
-
-
-__all__ = [
-    "BASES", "SymExpr", "schur", "homog", "elem", "power", "mono",
-    "convert", "multiply", "hall_scalar", "internal", "foulkes_derivative",
-    "omega", "mn_character", "lr_coefficient", "skew_schur",
-    "char_value", "character_table", "conjugate", "multiplicities",
-]

@@ -2,8 +2,9 @@
 
 Each is a plain function over the library's public objects: straightening
 of s_alpha, the vector-partition count behind the c matrix, the inverse
-of ``to_angle_basis``, the horizontal strips below a shape, a character
-polynomial at one cycle type and two small maps on a ``SymExpr``.
+of ``to_angle_basis``, the horizontal strips below a shape, the conjugate
+of a shape, a character polynomial at one cycle type and two small maps on
+a ``SymExpr``.
 """
 
 from functools import lru_cache
@@ -86,6 +87,13 @@ def horizontal_strip_subshapes(lam: tuple) -> list:
 
     rec(0, ())
     return out
+
+
+def conjugate(lam: tuple) -> tuple:
+    """Transpose of the Young diagram."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
 
 
 def eval_cycle_type(cp, mu) -> int:

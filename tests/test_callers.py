@@ -1,13 +1,15 @@
 """Every function, class and method under ``src/symcalc`` has a caller.
 
-A name passes when it appears as a word somewhere in ``src/`` outside its
-own definition, or when ``symcalc`` exports it.  Helpers that only the
-tests use live in ``tests/oracles.py`` instead.
+A name passes when it appears as an identifier (a ``tokenize.NAME``
+token) somewhere in ``src/`` outside its own definition, or when
+``symcalc`` exports it; a mention in a string or a comment is no caller.
+Helpers that only the tests use live in ``tests/oracles.py`` instead.
 """
 
 import ast
+import io
 import os
-import re
+import tokenize
 
 import symcalc
 
@@ -20,6 +22,16 @@ def _sources():
         if name.endswith(".py"):
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 out[name[:-3]] = fh.read()
+    return out
+
+
+def _identifiers(sources):
+    """name -> [(module, line)] of each identifier token in the sources."""
+    out = {}
+    for module, text in sources.items():
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                out.setdefault(tok.string, []).append((module, tok.start[0]))
     return out
 
 
@@ -44,14 +56,12 @@ def test_every_definition_has_a_caller_or_is_exported():
     sources = _sources()
     exported = set(symcalc.__all__)
     orphans = []
+    uses = _identifiers(sources)
     for module, text in sources.items():
-        lines = text.splitlines()
-        others = [t for m, t in sources.items() if m != module]
         for qual, name, first, last in _definitions(module, text):
             if name in exported:
                 continue
-            rest = "\n".join(lines[:first - 1] + lines[last:])
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(t) for t in [rest, *others]):
+            if not any(m != module or not first <= line <= last
+                       for m, line in uses.get(name, ())):
                 orphans.append(qual)
     assert not orphans, f"no caller in src/ and not exported: {orphans}"

@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from symcalc.partitions import (canonical_key, conjugate,
-                                horizontal_strip_supershapes, multiplicities,
-                                partition, partitions_of, partitions_up_to,
-                                power_cycle_type, sort_to_partition, z_value)
-from oracles import horizontal_strip_subshapes
+from symcalc.partitions import (canonical_key, horizontal_strip_supershapes,
+                                multiplicities, partition, partitions_of,
+                                partitions_up_to, power_cycle_type,
+                                sort_to_partition, z_value)
+from oracles import conjugate, horizontal_strip_subshapes
 
 
 def test_partition_validates():

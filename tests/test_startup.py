@@ -27,10 +27,10 @@ PUBLIC = {
                "stable_coproduct_tilde_s", "stable_inner_plethysm",
                "stable_kron", "tilde_h", "tilde_h_expand", "tilde_s",
                "tilde_x", "to_angle_basis", "transition"],
-    "symfunc": ["SymExpr", "convert", "elem", "foulkes_derivative",
-                "hall_scalar", "homog", "internal", "lr_coefficient",
-                "mn_character", "mono", "multiply", "omega", "power",
-                "schur", "skew_schur"],
+    "symfunc": ["SymExpr", "character_table", "convert", "elem",
+                "foulkes_derivative", "hall_scalar", "homog", "internal",
+                "lr_coefficient", "mn_character", "mono", "multiply", "omega",
+                "power", "schur", "skew_schur"],
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names}
 NAMES = sorted(HOME)
@@ -41,7 +41,7 @@ def _defined(name):
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 52
+    assert len(NAMES) == 53
     assert sorted(symcalc.__all__) == NAMES
 
 

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from symcalc.partitions import (conjugate, partitions_of, partitions_up_to,
-                                z_value)
+from symcalc.partitions import partitions_of, partitions_up_to, z_value
 from symcalc.symfunc import (SymExpr, elem, foulkes_derivative,
                              hall_scalar, homog, internal, lr_coefficient,
                              mn_character, mono, multiply, omega, power,
                              schur, skew_schur)
+from oracles import conjugate
 from test_change_of_basis import _to_p
 
 BASES = ("m", "e", "h", "p", "s")
