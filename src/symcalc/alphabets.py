@@ -9,8 +9,8 @@ their product is ``multiply`` cut at the smaller cap.  ``outer_plethysm``,
 ``_pleth_pairing`` and the adjoint of plethysm f -> sum_mu <f, m_mu[g]>
 h_mu, ``_pleth_adjoint``, share one tail kernel, ``_tails``, and all but
 the tilde rows the trees of the last 8 exact (g, cap) (``_shared_tail``).
-The tails p_a[g] are products, keyed by partitions: their class sums
-enter the lists of ``symfunc`` by ``_vectors``; pairings meet them keyed.
+The tails p_a[g] are ``symfunc._class_product``s, keyed by partitions:
+they enter the lists of ``symfunc`` by ``_vectors``; pairings meet them keyed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from math import factorial, prod
 
 from .coeffs import Coeff, ParamPoly, coeff_frobenius
 from .partitions import partitions_of
-from .symfunc import (SymExpr, _class_sums, _class_values, _from_class_sums,
-                      _from_class_values, _keyed, _over, _p_mult_basis,
+from .symfunc import (SymExpr, _class_product, _class_sums, _class_values,
+                      _from_class_sums, _from_class_values, _keyed, _over,
                       _p_weights, _vectors, multiply, power)
 
 
@@ -144,9 +144,9 @@ def _tails(g: SymExpr, cap):
     objects in the process, so in the memo they would only raise the
     peak memory; they build their own.  Tails are read-only.
 
-    Products weigh terms by C(|a|+|b|, |a|) (``binomial`` in
-    ``_p_mult_basis``), p_k scales N(nu) by (k|nu|)!/|nu|!, and a p_k[g]
-    that the cap leaves constant scales the tail instead of multiplying it.
+    p_alpha[g] = p_k[g] p_alpha[1:][g] is ``_class_product``; p_k scales
+    N(nu) by (k|nu|)!/|nu|!, and a p_k[g] that the cap leaves constant
+    scales the tail instead of multiplying it.
     """
     gsums = _keyed(_class_sums(g))
     powers: dict = {}
@@ -166,8 +166,7 @@ def _tails(g: SymExpr, cap):
                 c = pk[()]
                 got = {nu: v for nu, d in rest.items() if (v := c * d)}
             else:
-                got = _p_mult_basis((pk.items(), rest.items()), cap,
-                                    binomial=True)
+                got = _class_product(pk.items(), rest.items(), cap)
             tails[alpha] = got
         return got
 

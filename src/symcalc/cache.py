@@ -2,9 +2,10 @@
 
 One JSON file per (kind, key), with a format-version header and a sha256
 checksum of the payload; corrupted or stale entries are detected, logged
-and recomputed.  Writes are atomic (temp file + rename), so concurrent
-readers on the same directory are safe.  All IO failures degrade to
-in-memory operation.
+and recomputed.  A read checksums the payload text as ``put`` stored it,
+with sorted keys, so a file in another layout is unreadable.  Writes are
+atomic (temp file + rename), so concurrent readers on the same directory
+are safe.  All IO failures degrade to in-memory operation.
 
 Warnings go to the ``symcalc.cache`` logger.  ``logging`` loads on the
 first warning, ``json``, ``tempfile`` and sha256 on the first IO.  The
@@ -73,9 +74,14 @@ class PersistentCache:
         path = self._path(kind, key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("not a JSON object")
+                text = fh.read()
+            # put's layout: {"payload": ..., "sha256": "...", "version": ...}
+            head, sep, tail = text.rpartition(', "sha256": "')
+            payload_text = head.removeprefix('{"payload": ')
+            if not sep or payload_text == head:
+                raise ValueError("not a JSON object in the stored layout")
+            payload = json.loads(payload_text)
+            doc = json.loads('{"sha256": "' + tail)
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:  # UnicodeDecodeError too
@@ -84,11 +90,10 @@ class PersistentCache:
         if doc.get("version") != FORMAT_VERSION:
             _warn("cache entry %s has wrong version; recomputing", path)
             return None
-        payload_text = json.dumps(doc.get("payload"), sort_keys=True)
         if doc.get("sha256") != _checksum(payload_text):
             _warn("cache entry %s failed checksum; recomputing", path)
             return None
-        return doc["payload"]
+        return payload
 
     def put(self, kind: str, key: str, payload) -> None:
         if not self.usable:

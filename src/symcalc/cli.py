@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 parse error, 3 evaluation error, 4 IO error.
 
 Each branch of ``_run`` imports its command's computation, and ``expr``
 each node's, so a process loads only the modules its one command runs,
-besides ``render`` and ``tables`` (the parser lists its sections).
+besides ``render``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,15 @@ from .partitions import partition
 from .render import (render_charpoly, render_symexpr, render_value,
                      term_sort_key)
 from .symfunc import SymExpr
-from .tables import SECTIONS
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_EVAL = 3
 EXIT_IO = 4
 FORMATS = ("text", "json", "latex")
+# tables.SECTIONS, named here so that only the tables command loads tables
+SECTIONS = ("inner-plethysm", "perm-chars", "tilde-s-dual", "schur-on-tilde-s",
+            "tilde-h-dual", "h-on-tilde-h")
 
 
 def _partition_arg(text: str):
@@ -65,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression")
-    p.add_argument("expression")
+    p.add_argument("expression", help="an expression that starts with '-' "
+                   "goes after '--': symcalc eval -- '-s[1]'")
     p.add_argument("--basis", choices=("s", "h", "e", "m", "p"), default="s")
     p.add_argument("--cap", type=_cap_arg, default=None,
                    help="print only the terms of degree at most CAP "

@@ -15,9 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
-
-Coeff = Union[Fraction, "ParamPoly"]
 
 
 class TruncationError(Exception):
@@ -237,6 +234,9 @@ class ParamPoly:
             e = tuple(t["exps"].get(p, 0) for p in params)
             terms[e] = fraction_from_json(t["coeff"])
         return cls(params, terms)
+
+
+Coeff = Fraction | ParamPoly   # a coefficient of an expansion
 
 
 def _coerce(x, like: ParamPoly):

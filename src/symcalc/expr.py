@@ -49,9 +49,11 @@ def tokenize(text: str):
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if not m:   # a bad character, maybe after whitespace, or the end
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}",
+                                 len(text) - len(rest))
             break
         tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
         pos = m.end()

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Iterable
 
 
-def partition(parts: Iterable[int]) -> tuple:
+def partition(parts) -> tuple:
     """Validate and normalize an iterable into a partition tuple."""
     p = tuple(int(x) for x in parts)
     if any(x <= 0 for x in p):
@@ -23,7 +22,7 @@ def partition(parts: Iterable[int]) -> tuple:
     return p
 
 
-def sort_to_partition(parts: Iterable[int]) -> tuple:
+def sort_to_partition(parts) -> tuple:
     """Sort positive entries into a partition (drops zeros)."""
     p = tuple(sorted((int(x) for x in parts if x != 0), reverse=True))
     if p and p[-1] < 0:

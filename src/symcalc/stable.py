@@ -341,12 +341,14 @@ def transition(kind: str, degree_cap: int) -> dict:
 
     Entries are keyed (lam, mu) for |lam|, |mu| <= degree_cap:
       c: h_lam   = sum c_lam^mu h~_mu   (<h_lam, m_mu[sigma_1-1]>)
+      t: h~_lam  = sum t_lam^mu h_mu    (row lam: T(h_lam), the inverse of c)
       a: s_lam   = sum a_lam^mu s~_mu   (row lam: T^-1(s_lam) on {<mu>})
       b: s~_lam  = sum b_lam^mu s_mu
     """
     parts = [p for p in partitions_up_to(degree_cap) if p]
-    if kind == "c":
-        rows = ((lam, _pleth_columns("H", sum(lam))[lam]) for lam in parts)
+    if kind in ("c", "t"):
+        series = "H" if kind == "c" else "M"
+        rows = ((lam, _pleth_columns(series, sum(lam))[lam]) for lam in parts)
     elif kind == "a":
         rows = ((lam, to_angle_basis(StableChar(_adjoint(schur(lam), "H"))))
                 for lam in parts)

@@ -14,8 +14,8 @@ pairing are zips.  The columns in s, m and h are one kernel, ``_column``
 (p_nu = p_r p_{nu[1:]}); the rows of s and m are slices of the s and h
 columns, those of h a binomial product (e: h with the omega sign).
 
-Products stay keyed by partitions: ``_p_mult_basis`` concatenates them (an
-outer product weighs N_f(lam) N_g(mu) at lam u mu by C(|lam|+|mu|, |lam|)),
+Products stay keyed by partitions: ``_class_product``, the one outer
+product of class sums, concatenates them (its docstring states the rule),
 as do the skew, chi_{D_f g}(beta) = sum_a [p_a]f chi_g(a u beta), and the
 plethysm tails.  They cross into the lists by ``_vectors`` and back by
 ``_keyed``.  Transition data is memoized in memory only.
@@ -228,33 +228,26 @@ def _over(c, d: int) -> Coeff:
     return c * Fraction(1, d) if isinstance(c, ParamPoly) else Fraction(c, d)
 
 
-def _p_mult_basis(factors, cap=None, binomial=False) -> dict:
-    """Product of expansions in a multiplicative basis (p, h or e).
-
-    Each factor is an iterable of (partition, coeff) pairs; keys
-    concatenate and sort.  With ``cap``, terms above that degree are
-    dropped as they arise.  With ``binomial``, the factors are p-basis
-    class sums N(nu) = |nu|! [p_nu]F: the coefficient at lam takes the
-    weight C(|lam| + |mu|, |lam|), once per size |mu|.
+def _class_product(a, b, cap=None) -> dict:
+    """The outer product of two iterables of (partition, class sum N(nu) =
+    |nu|! [p_nu]F) pairs: N_fg(lam u mu) = C(|lam|+|mu|, |lam|) N_f(lam)
+    N_g(mu), the weight taken once per size |mu|, keys lam u mu sorted;
+    terms above degree cap are dropped as they arise, zero sums at the end.
     """
-    acc = {(): 1}
-    for terms in factors:
-        by_size: dict = {}
-        for mu, d in terms:
-            by_size.setdefault(sum(mu), []).append((mu, d))
-        nxt: dict = {}
-        for lam, c in acc.items():
-            a = sum(lam)
-            for b, group in by_size.items():
-                if cap is not None and a + b > cap:
-                    continue
-                cb = c * comb(a + b, a) if binomial and a else c
+    by_size: dict = {}
+    for mu, d in b:
+        by_size.setdefault(sum(mu), []).append((mu, d))
+    out: dict = {}
+    for lam, c in a:
+        m = sum(lam)
+        for n, group in by_size.items():
+            if cap is None or m + n <= cap:
+                cw = c * comb(m + n, m)
                 for mu, d in group:
-                    key = tuple(sorted(lam + mu, reverse=True)) if lam else mu
-                    prev, cd = nxt.get(key), cb * d
-                    nxt[key] = cd if prev is None else prev + cd
-        acc = {k: v for k, v in nxt.items() if v}
-    return acc
+                    key = tuple(sorted(lam + mu, reverse=True))
+                    prev, cd = out.get(key), cw * d
+                    out[key] = cd if prev is None else prev + cd
+    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +367,7 @@ def _class_row(basis: str, lam: tuple) -> list:
         return [1]
     head = zip(partitions_of(lam[0]), _class_sizes(lam[0]))
     tail = _keyed(_class_sums(homog(lam[1:])))
-    sums = _p_mult_basis((head, tail), binomial=True)
+    sums = _class_product(head, tail)
     return [sums.get(nu, 0) // c
             for nu, c in zip(partitions_of(n), _class_sizes(n))]
 
@@ -460,10 +453,10 @@ def _from_class_values(chi: dict, target: str, scale: int = 1) -> SymExpr:
 
 def multiply(f: SymExpr, g: SymExpr, cap=None) -> SymExpr:
     """Outer product, returned in the basis of f, without the terms above
-    degree cap: the binomial product of the class sums."""
+    degree cap: ``_class_product`` of the class sums."""
     sums = (_keyed(_class_sums(f)), _keyed(_class_sums(g)))
-    return _from_class_sums(_vectors(_p_mult_basis(sums, cap, binomial=True)
-                                     .items()), f.basis)
+    return _from_class_sums(_vectors(_class_product(*sums, cap).items()),
+                            f.basis)
 
 
 def _pair(chi: dict, sums: dict) -> Coeff:

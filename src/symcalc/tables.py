@@ -13,48 +13,32 @@ Six sections, each a text table with one line per partition row:
 Partitions are printed with concatenated parts (h21 for h_{2,1}); the empty
 partition prints as 0 (ts0).  Row order is by degree, reverse lexicographic
 within a degree.  One layout, ``_LAYOUT``, drives all six sections: per
-section, a matrix keyed (lam, mu), whether a line reads a row or a column of
-it, the line format, the term name and the term order (descending degree,
-ascending degree, or lexicographic; see ``render.term_sort_key``).  Every
-line is printed by ``render.render_terms``, with a space between a
-coefficient and its name (2 h11).
+section, the ``stable.transition`` matrix (c, t or a), whether a line reads
+a row or a column of it, the line format, the term name and the term order
+(descending degree, ascending degree, or lexicographic; see
+``render.term_sort_key``).  Every line is printed by ``render.render_terms``,
+with a space between a coefficient and its name (2 h11).
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from .partitions import canonical_key, partitions_up_to
 from .render import render_terms
-
-
-def _transition(kind: str, max_degree: int) -> dict:
-    from .stable import transition  # the CLI loads tables for SECTIONS
-    return transition(kind, max_degree)
-
-
-_C, _A = partial(_transition, "c"), partial(_transition, "a")
+from .stable import transition
 
 
 def _pname(lam) -> str:
     return "".join(str(p) for p in lam) if lam else "0"
 
 
-def _perm_chars(max_degree: int) -> dict:
-    """{(lam, mu): [h_mu] h~_lam}, the inverse of transition("c")."""
-    from .stable import tilde_h
-    return {(lam, mu): c for lam in filter(None, partitions_up_to(max_degree))
-            for mu, c in tilde_h(lam).terms.items()}
-
-
-# section: (matrix, by column, line format, term name, term order)
+# section: (transition kind, by column, line format, term name, term order)
 _LAYOUT = {
-    "inner-plethysm": (_C, False, "[h{}] = <<{}>>", "h", "desc"),
-    "perm-chars": (_perm_chars, False, "<<h{}>> = [{}]", "h", "desc"),
-    "tilde-s-dual": (_A, True, "ts{}* = {}", "s", "asc"),
-    "schur-on-tilde-s": (_A, False, "s{} = {}", "ts", "lex"),
-    "tilde-h-dual": (_C, True, "th{}* = {}", "m", "asc"),
-    "h-on-tilde-h": (_C, False, "h{} = {}", "th", "lex"),
+    "inner-plethysm": ("c", False, "[h{}] = <<{}>>", "h", "desc"),
+    "perm-chars": ("t", False, "<<h{}>> = [{}]", "h", "desc"),
+    "tilde-s-dual": ("a", True, "ts{}* = {}", "s", "asc"),
+    "schur-on-tilde-s": ("a", False, "s{} = {}", "ts", "lex"),
+    "tilde-h-dual": ("c", True, "th{}* = {}", "m", "asc"),
+    "h-on-tilde-h": ("c", False, "h{} = {}", "th", "lex"),
 }
 SECTIONS = tuple(_LAYOUT)
 
@@ -65,9 +49,9 @@ def render_table(section: str, max_degree: int) -> str:
                          + ", ".join(SECTIONS))
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    matrix, by_column, line, symbol, order = _LAYOUT[section]
+    kind, by_column, line, symbol, order = _LAYOUT[section]
     rows: dict = {}
-    for (lam, mu), c in matrix(max_degree).items():
+    for (lam, mu), c in transition(kind, max_degree).items():
         if by_column:
             lam, mu = mu, lam
         rows.setdefault(lam, {})[mu] = c

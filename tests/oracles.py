@@ -3,8 +3,9 @@
 Each is a plain function over the library's public objects: straightening
 of s_alpha, the vector-partition count behind the c matrix, the inverse
 of ``to_angle_basis``, the horizontal strips below a shape, the conjugate
-of a shape, a character polynomial at one cycle type and two small maps on
-a ``SymExpr``.
+of a shape, a character polynomial at one cycle type, two small maps on
+a ``SymExpr`` and the plain product of expansions in a multiplicative
+basis (the library multiplies class sums, ``symfunc._class_product``).
 """
 
 from functools import lru_cache
@@ -94,6 +95,32 @@ def conjugate(lam: tuple) -> tuple:
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
+
+
+def plain_product(factors, cap=None) -> dict:
+    """Product of expansions in a multiplicative basis (p, h or e).
+
+    Each factor is an iterable of (partition, coeff) pairs; keys
+    concatenate and sort.  With ``cap``, terms above that degree are
+    dropped as they arise.
+    """
+    acc = {(): 1}
+    for terms in factors:
+        by_size: dict = {}
+        for mu, d in terms:
+            by_size.setdefault(sum(mu), []).append((mu, d))
+        nxt: dict = {}
+        for lam, c in acc.items():
+            a = sum(lam)
+            for b, group in by_size.items():
+                if cap is not None and a + b > cap:
+                    continue
+                for mu, d in group:
+                    key = tuple(sorted(lam + mu, reverse=True)) if lam else mu
+                    prev, cd = nxt.get(key), c * d
+                    nxt[key] = cd if prev is None else prev + cd
+        acc = {k: v for k, v in nxt.items() if v}
+    return acc
 
 
 def eval_cycle_type(cp, mu) -> int:

@@ -19,8 +19,9 @@ from symcalc.innerpleth import (adams, eigenvalue_eval, inner_plethysm,
 from symcalc.partitions import (multiplicities, partitions_of,
                                 partitions_up_to, power_cycle_type, z_value)
 from symcalc.stable import angle, evaluate_at_n, reduced_kron
-from symcalc.symfunc import (BASES, SymExpr, _p_mult_basis, elem,
-                             hall_scalar, homog, internal, mono, power, schur)
+from symcalc.symfunc import (BASES, SymExpr, elem, hall_scalar, homog,
+                             internal, mono, power, schur)
+from oracles import plain_product
 from test_change_of_basis import _from_p, _to_p
 from test_class_vectors import _add_scaled
 
@@ -105,7 +106,7 @@ def _ref_outer_plethysm(f, g):
         gp, cap = _to_p(g), None
     out = {}
     for alpha, c in _to_p(f).items():
-        piece = _p_mult_basis((_ref_pk_on_terms(gp, k, cap).items()
+        piece = plain_product((_ref_pk_on_terms(gp, k, cap).items()
                                for k in alpha), cap)
         _add_scaled(out, c, piece.items())
     result = _from_p({k: v for k, v in out.items() if v}, f.basis)

@@ -106,6 +106,10 @@ def test_eval_output():
         data["terms"][0]["part"] == [2]
 
 
+def test_eval_of_a_leading_minus_goes_after_double_dash():
+    assert run_cli(["eval", "--", "-s[1]"]) == (0, "-s[1]\n", "")
+
+
 def test_eval_latex():
     code, out, _ = run_cli(["eval", "s[2,1] + s[3]", "--format", "latex"])
     assert code == 0

@@ -14,6 +14,7 @@ from symcalc.cli import main
 
 PARSE_ERRORS = [
     ("s[1]$", "unexpected character '$' (at position 4)"),
+    ("s[2] & 1", "unexpected character '&' (at position 5)"),
     ("(s[1]", "expected ')', found 'end of input' (at position 5)"),
     ("s[1 2]", "expected ']', found '2' (at position 4)"),
     ("ihat(s[1] s[1])", "expected ')', found 's' (at position 10)"),

@@ -10,6 +10,7 @@ types; ParamPoly values also by their text and their terms.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 
 import pytest
@@ -21,10 +22,11 @@ from symcalc.apps import (_weight_alphabet, endofunction_signature,
                           littlewood_pair)
 from symcalc.coeffs import ParamPoly, coeff_frobenius, format_coeff
 from symcalc.partitions import partitions_of
-from symcalc.symfunc import (BASES, SymExpr, _class_sums, _from_class_sums,
-                             _keyed, _p_mult_basis, _p_weights, _vectors,
+from symcalc.symfunc import (BASES, SymExpr, _class_product, _class_sums,
+                             _from_class_sums, _keyed, _p_weights, _vectors,
                              convert, elem, hall_scalar, homog, mono, power,
                              schur)
+from oracles import plain_product
 from test_class_vectors import _add_scaled
 
 MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
@@ -51,9 +53,8 @@ def _ref_outer_plethysm(f, g):
                              * (factorial(k * sum(nu)) // factorial(sum(nu)))
                              for nu, c in gsums.items()
                              if cap is None or k * sum(nu) <= cap}
-            got = tails[alpha] = _p_mult_basis(
-                (powers[k].items(), tail(alpha[1:]).items()), cap,
-                binomial=True)
+            got = tails[alpha] = _class_product(
+                powers[k].items(), tail(alpha[1:]).items(), cap)
         return got
 
     big, weights = _p_weights(f)
@@ -183,8 +184,15 @@ def test_capped_product_is_the_full_product_cut(binomial):
     factors = [dict(_keyed(_class_sums(f))) for f in
                (schur([2, 1]) + homog([1]) - 1, elem([3]) + power([1, 1]),
                 homog([2]) * 4 + schur([1]), schur([4]) - mono([2, 1]))]
-    full = _p_mult_basis([fs.items() for fs in factors], binomial=binomial)
+
+    def product(cap=None):
+        if not binomial:
+            return plain_product([fs.items() for fs in factors], cap)
+        return reduce(lambda acc, fs: _class_product(acc.items(), fs.items(),
+                                                     cap), factors, {(): 1})
+
+    full = product()
     for cap in range(0, 14):
         cut = [(k, v) for k, v in full.items() if sum(k) <= cap]
-        got = _p_mult_basis([fs.items() for fs in factors], cap, binomial)
+        got = product(cap)
         assert list(got.items()) == cut

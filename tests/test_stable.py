@@ -169,6 +169,16 @@ def test_c_matrix_vs_vector_partitions():
             assert v == vector_partition_count(lam, mu), (lam, mu)
 
 
+def test_transition_t_is_the_inverse_of_c():
+    c, t = transition("c", 6), transition("t", 6)
+    parts = [lam for lam in partitions_up_to(6) if lam]
+    for lam in parts:
+        for nu in parts:
+            got = sum(c.get((lam, mu), 0) * t.get((mu, nu), 0)
+                      for mu in parts)
+            assert got == (lam == nu), (lam, nu)
+
+
 def test_transition_duality():
     # <tilde_s_lam, tilde_s_mu-dual> = delta: a-matrix consistency
     a = transition("a", 4)
@@ -403,6 +413,10 @@ def _transition_ref(kind, cap):
                     c = hall_scalar(schur(lam), prod)
                     if c:
                         out[(lam, mu)] = c
+    elif kind == "t":
+        for lam in parts:
+            for mu, c in _tilde_h_ref(lam).terms.items():
+                out[(lam, mu)] = c
     else:
         for lam in parts:
             for mu, c in _tilde_s_ref(lam).terms.items():
@@ -423,7 +437,7 @@ def test_tilde_bases_match_elimination_degree_6():
             assert tilde_h_expand(f) == _tilde_h_expand_ref(f), (lam, f)
     f = homog([3, 1]) + schur([2], 3) - 2
     assert tilde_h_expand(f) == _tilde_h_expand_ref(f)
-    for kind in ("a", "b", "c"):
+    for kind in ("a", "b", "c", "t"):
         assert transition(kind, 6) == _transition_ref(kind, 6), kind
 
 

@@ -5,6 +5,7 @@ import importlib
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -108,7 +109,7 @@ def test_import_symcalc_loads_no_submodule():
     ["reduced-kron", "--lambda", "2,1", "--mu", "1"]])
 def test_tables_and_reduced_kron_skip_expr_innerpleth_and_apps(argv):
     loaded = _loaded(_cli(argv))
-    assert "symcalc.tables" in loaded
+    assert ("symcalc.tables" in loaded) == (argv[0] == "tables")
     assert not loaded & {"symcalc.expr", "symcalc.innerpleth",
                          "symcalc.apps"}
 
@@ -261,6 +262,31 @@ def test_commands_without_stable_objects_skip_stable(argv):
     assert "symcalc.stable" not in loaded
 
 
+def test_cli_names_the_table_sections_in_order():
+    from symcalc import cli, tables
+    assert cli.SECTIONS == tables.SECTIONS
+
+
+# Runs commands under ``python -S`` (no site hooks, which load ``typing``
+# on some installs) and prints which of two modules they loaded.
+BARE = """import sys
+sys.path.insert(0, {root!r})
+from symcalc.cli import main
+assert main(["eval", "1"]) == 0 and main(["braid", "--n", "3"]) == 0
+print(sorted({{"typing", "symcalc.tables"}} & set(sys.modules)))
+"""
+
+
+def test_eval_and_braid_load_neither_typing_nor_tables():
+    root = os.path.dirname(os.path.dirname(symcalc.__file__))
+    env = dict(os.environ)
+    env.pop("SYMCALC_CACHE", None)
+    proc = subprocess.run([sys.executable, "-S", "-c", BARE.format(root=root)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_an_internal_product_skips_alphabets():
     loaded = _loaded(_cli(["eval", "s[2]#s[2]"]))
     assert "symcalc.expr" in loaded
@@ -314,3 +340,53 @@ def test_get_rejects_a_malformed_entry_on_the_cache_logger(content, reason,
     message = handler.records[0].getMessage()
     assert "unreadable (" in message and reason in message
     assert message.endswith("; recomputing")
+
+
+# -- reads checksum the payload text as stored -------------------------------
+
+PARENT_CACHE = os.path.join(os.path.dirname(__file__), "data", "cache")
+
+
+def _tables_with_cache(cache, section):
+    argv = [sys.executable, "-m", "symcalc.cli", "--cache", str(cache),
+            "tables", "--section", section, "--max-degree", "4"]
+    return subprocess.run(argv, capture_output=True, text=True)
+
+
+def _reference(section):
+    path = os.path.join(os.path.dirname(__file__), "data", "tables",
+                        f"{section}-4.txt")
+    with open(path) as fh:
+        return fh.read()
+
+
+def test_a_directory_written_by_an_earlier_version_reads_back(tmp_path):
+    # data/cache holds the plethH/plethM files of degrees 1-4 as the
+    # earlier reader (decode, re-encode, checksum) wrote and accepted them
+    cache = tmp_path / "cache"
+    shutil.copytree(PARENT_CACHE, cache)
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    reader = PersistentCache(cache)
+    for name, data in before.items():
+        kind, key = name[:-len(".json")].split("-")
+        assert reader.get(kind, key) == json.loads(data)["payload"]
+    for section in ("perm-chars", "h-on-tilde-h"):
+        proc = _tables_with_cache(cache, section)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, _reference(section), "")
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+
+
+def test_a_payload_with_changed_whitespace_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    shutil.copytree(PARENT_CACHE, cache)
+    path = cache / "plethM-2.json"
+    stored = path.read_bytes()
+    edited = stored.replace(b'{"payload": {"1,1": {', b'{"payload": {"1,1":{')
+    assert edited != stored and json.loads(edited) == json.loads(stored)
+    path.write_bytes(edited)
+    proc = _tables_with_cache(cache, "perm-chars")
+    assert (proc.returncode, proc.stdout) == (0, _reference("perm-chars"))
+    assert proc.stderr == (f"WARNING symcalc.cache: cache entry {path} "
+                           f"failed checksum; recomputing\n")
+    assert path.read_bytes() == stored
