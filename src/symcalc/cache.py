@@ -1,4 +1,5 @@
-"""Optional persistent cache for memoized coefficient tables.
+"""Optional persistent cache for memoized coefficient tables and for the
+CLI's answers.
 
 One JSON file per (kind, key), with a format-version header and a sha256
 checksum of the payload; corrupted or stale entries are detected, logged
@@ -7,10 +8,16 @@ with sorted keys, so a file in another layout is unreadable.  Writes are
 atomic (temp file + rename), so concurrent readers on the same directory
 are safe.  All IO failures degrade to in-memory operation.
 
+Kind ``answer`` holds the stdout and stderr of one CLI command that
+exited 0, under ``answer_key``: the sha256 of its parsed arguments and of
+this package's ``.py`` files, so an edit to the code misses every answer
+stored before it.
+
 Warnings go to the ``symcalc.cache`` logger.  ``logging`` loads on the
-first warning, ``json``, ``tempfile`` and sha256 on the first IO.  The
-sha256 is CPython's built-in module, as ``random`` takes its sha512:
-``hashlib``, the fallback, loads OpenSSL (3 MB and 4 ms a process).
+first warning, ``json`` and sha256 on the first IO or key, ``tempfile``
+on the first write.  The sha256 is CPython's built-in module, as
+``random`` takes its sha512: ``hashlib``, the fallback, loads OpenSSL
+(3 MB and 4 ms a process).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ FORMAT_VERSION = 1
 
 _active: "PersistentCache | None" = None
 _new_sha256 = None  # the sha256 constructor, bound by the first checksum
+_sources = None  # digest of the package's sources; "" when unreadable
 
 
 def set_cache_dir(path) -> "PersistentCache | None":
@@ -30,7 +38,7 @@ def set_cache_dir(path) -> "PersistentCache | None":
     return _active
 
 
-def _checksum(payload_text: str) -> str:
+def _sha256(data: bytes) -> str:
     global _new_sha256
     if _new_sha256 is None:
         try:
@@ -41,7 +49,45 @@ def _checksum(payload_text: str) -> str:
             except ImportError:
                 from hashlib import sha256
         _new_sha256 = sha256
-    return _new_sha256(payload_text.encode("utf-8")).hexdigest()
+    return _new_sha256(data).hexdigest()
+
+
+def _checksum(payload_text: str) -> str:
+    return _sha256(payload_text.encode("utf-8"))
+
+
+def answer_key(command: dict) -> "str | None":
+    """The key of a command's stored answer, or None when no usable
+    directory is active or the package's sources cannot be read."""
+    global _sources
+    if _active is None or not _active.usable:
+        return None
+    if _sources is None:
+        here, files = os.path.dirname(os.path.abspath(__file__)), []
+        try:
+            for name in sorted(os.listdir(here)):
+                if name.endswith(".py"):
+                    with open(os.path.join(here, name), "rb") as fh:
+                        files += [name.encode(), fh.read()]
+            _sources = _sha256(b"\0".join(files))
+        except OSError:
+            _sources = ""
+    if not _sources:
+        return None
+    import json
+    return _checksum(_sources + json.dumps(command, sort_keys=True))
+
+
+def stored_answer(key: str) -> "dict | None":
+    """The active directory's answer under ``key``; a malformed one warns."""
+    answer = _active.get("answer", key)
+    if answer is None or (isinstance(answer, dict)
+                          and isinstance(answer.get("stdout"), str)
+                          and isinstance(answer.get("stderr"), str)):
+        return answer
+    _warn("cache entry %s malformed; recomputing",
+          _active._path("answer", key))
+    return None
 
 
 def _warn(msg: str, *args) -> None:
@@ -104,6 +150,7 @@ class PersistentCache:
         payload_text = json.dumps(payload, sort_keys=True)
         doc = {"version": FORMAT_VERSION, "sha256": _checksum(payload_text),
                "payload": payload}
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -111,6 +158,11 @@ class PersistentCache:
             os.replace(tmp, path)
         except OSError as exc:
             _warn("cache write to %s failed (%s); continuing", path, exc)
+            if tmp is not None:
+                try:
+                    os.remove(tmp)
+                except OSError:
+                    pass
 
 
 def cached_table(kind: str, key: str, compute, encode, decode):

@@ -4,22 +4,21 @@ Exit codes: 0 success, 2 parse error, 3 evaluation error, 4 IO error.
 
 Each branch of ``_run`` imports its command's computation, and ``expr``
 each node's, so a process loads only the modules its one command runs,
-besides ``render``.
+besides ``render``.  With a cache directory, ``main`` first looks up the
+command's stored answer (``cache.answer_key``) and, on a hit, prints it
+without importing any math module; a command that exits 0 stores its
+stdout and stderr there.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
 from . import __version__
-from .cache import set_cache_dir
-from .coeffs import EvalError, TruncationError, format_coeff
-from .partitions import partition
-from .render import (render_charpoly, render_symexpr, render_value,
-                     term_sort_key)
-from .symfunc import SymExpr
+from .cache import answer_key, set_cache_dir, stored_answer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -32,6 +31,7 @@ SECTIONS = ("inner-plethysm", "perm-chars", "tilde-s-dual", "schur-on-tilde-s",
 
 
 def _partition_arg(text: str):
+    from .partitions import partition
     try:
         parts = tuple(int(x) for x in text.split(",") if x.strip())
         return partition(parts)
@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
                "charpoly(s[lam]).")
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--cache", metavar="DIR",
-                    help="cache directory (also env var SYMCALC_CACHE)")
+                    help="cache directory (also env var SYMCALC_CACHE): "
+                         "keeps tables and the answer of each command run "
+                         "on it; safe to delete")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression")
@@ -99,14 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run(args) -> int:
-    out = sys.stdout
+def _run(args, out, err) -> int:
+    from .coeffs import format_coeff
+    from .render import (render_charpoly, render_symexpr, render_value,
+                         term_sort_key)
+    from .symfunc import SymExpr
     if args.command == "eval":
         from .expr import ParseError, evaluate, parse
         try:
             ast = parse(args.expression)
         except ParseError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
+            print(f"parse error: {exc}", file=err)
             return EXIT_PARSE
         value = evaluate(ast)
         if isinstance(value, SymExpr):
@@ -116,7 +121,7 @@ def _run(args) -> int:
                 dropped = len(value.terms) - len(kept.terms)
                 if dropped:
                     print(f"note: --cap {args.cap} dropped {dropped} "
-                          f"term(s) of higher degree", file=sys.stderr)
+                          f"term(s) of higher degree", file=err)
                 value = kept
         out.write(render_value(value, args.format) + "\n")
         return EXIT_OK
@@ -157,18 +162,49 @@ def _run(args) -> int:
     raise AssertionError(args.command)
 
 
+def _library_errors() -> tuple:
+    """The errors that exit 3.  An except clause evaluates this only when
+    an exception reaches it, so a stored answer prints without coeffs."""
+    from .coeffs import EvalError, TruncationError
+    return EvalError, TruncationError, ArithmeticError, ValueError
+
+
+def _guarded(run, err) -> int:
+    """run(), with an IO or library error reported on err as exit 4 or 3."""
+    try:
+        return run()
+    except OSError as exc:  # first: io.UnsupportedOperation is a ValueError
+        print(f"io error: {exc}", file=err)
+        return EXIT_IO
+    except _library_errors() as exc:
+        print(f"evaluation error: {exc}", file=err)
+        return EXIT_EVAL
+
+
+def _print(answer) -> int:
+    # stderr first: a --cap note is printed before the answer
+    sys.stderr.write(answer["stderr"])
+    sys.stdout.write(answer["stdout"])
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        # set on every call: an earlier in-process call's directory is not kept
-        set_cache_dir(args.cache or os.environ.get("SYMCALC_CACHE") or None)
-        return _run(args)
-    except OSError as exc:  # first: io.UnsupportedOperation is a ValueError
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (EvalError, TruncationError, ArithmeticError, ValueError) as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+    command = {k: v for k, v in vars(args).items() if k != "cache"}
+    # set on every call: an earlier in-process call's directory is not kept
+    cache = set_cache_dir(args.cache or os.environ.get("SYMCALC_CACHE")
+                          or None)
+    key = answer_key(command)
+    answer = stored_answer(key) if key else None
+    code = EXIT_OK
+    if answer is None:
+        out, err = io.StringIO(), io.StringIO()
+        code = _guarded(lambda: _run(args, out, err), err)
+        answer = {"args": command, "stdout": out.getvalue(),
+                  "stderr": err.getvalue()}
+        if key and code == EXIT_OK:
+            cache.put("answer", key, answer)
+    return _guarded(lambda: _print(answer), sys.stderr) or code
 
 
 if __name__ == "__main__":

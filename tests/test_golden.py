@@ -6,8 +6,10 @@ The corpus covers all six ``tables`` sections at ``--max-degree`` 1-7,
 pairs, five ``charpoly`` calls in each format and 33 ``eval`` forms in
 every ``--format`` and ``--basis``; every command exits 0.  The test
 replays each command in-process through ``symcalc.cli.main`` with no
-cache directory and compares bytes.  It only reads the file; the file is
-written by ``write_corpus``, from a tree whose answers are the reference::
+cache directory and compares bytes; another test replays them all twice
+through one ``--cache`` directory, where the second pass prints the
+stored answers.  The tests only read the file; it is written by
+``write_corpus``, from a tree whose answers are the reference::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,6 +21,7 @@ import os
 
 import pytest
 
+from symcalc.cache import set_cache_dir
 from symcalc.cli import FORMATS, SECTIONS, main
 
 PATH = os.path.join(os.path.dirname(__file__), "data", "golden", "cli.json")
@@ -101,6 +104,32 @@ def test_corpus_is_the_command_list():
 def test_command_replays_byte_for_byte(record, monkeypatch):
     monkeypatch.delenv("SYMCALC_CACHE", raising=False)
     assert run(record["argv"]) == record
+
+
+def _files(directory) -> dict:
+    """name -> (mtime, bytes) of each file in ``directory``."""
+    out = {}
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as fh:
+            out[name] = (os.stat(path).st_mtime_ns, fh.read())
+    return out
+
+
+def test_corpus_replays_cold_then_warm_through_one_cache(tmp_path,
+                                                         monkeypatch):
+    # the warm pass prints every command's stored answer
+    monkeypatch.delenv("SYMCALC_CACHE", raising=False)
+    cache = str(tmp_path / "cache")
+    want = [dict(r, argv=["--cache", cache, *r["argv"]]) for r in CORPUS]
+    try:
+        assert [run(r["argv"]) for r in want] == want
+        cold = _files(cache)
+        assert len([n for n in cold if n.startswith("answer-")]) == len(want)
+        assert [run(r["argv"]) for r in want] == want
+        assert _files(cache) == cold
+    finally:
+        set_cache_dir(None)
 
 
 if __name__ == "__main__":
