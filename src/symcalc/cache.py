@@ -2,7 +2,7 @@
 CLI's answers.
 
 One JSON file per (kind, key), with a format-version header and a sha256
-checksum of the payload; corrupted or stale entries are detected, logged
+checksum of the payload; corrupted, stale or malformed entries are logged
 and recomputed.  A read checksums the payload text as ``put`` stored it,
 with sorted keys, so a file in another layout is unreadable.  Writes are
 atomic (temp file + rename), so concurrent readers on the same directory
@@ -25,6 +25,8 @@ from __future__ import annotations
 import os
 
 FORMAT_VERSION = 1
+# an entry is {"payload": <payload text>, "sha256": "<hex>", "version": 1}
+_HEAD, _SUM = '{"payload": ', ', "sha256": "'
 
 _active: "PersistentCache | None" = None
 _new_sha256 = None  # the sha256 constructor, bound by the first checksum
@@ -78,16 +80,27 @@ def answer_key(command: dict) -> "str | None":
     return _checksum(_sources + json.dumps(command, sort_keys=True))
 
 
+def _load(kind: str, key: str, decode):
+    """decode(payload) of the active directory's entry; None if absent,
+    corrupted or malformed (decode raised Arithmetic/Lookup/ValueError)."""
+    payload = _active.get(kind, key)
+    try:
+        return None if payload is None else decode(payload)
+    except (ArithmeticError, LookupError, ValueError):
+        _warn("cache entry %s malformed; recomputing",
+              _active._path(kind, key))
+
+
+def _answer(payload) -> dict:
+    if isinstance(payload, dict) and all(
+            isinstance(payload.get(k), str) for k in ("stdout", "stderr")):
+        return payload
+    raise ValueError("not an answer")
+
+
 def stored_answer(key: str) -> "dict | None":
     """The active directory's answer under ``key``; a malformed one warns."""
-    answer = _active.get("answer", key)
-    if answer is None or (isinstance(answer, dict)
-                          and isinstance(answer.get("stdout"), str)
-                          and isinstance(answer.get("stderr"), str)):
-        return answer
-    _warn("cache entry %s malformed; recomputing",
-          _active._path("answer", key))
-    return None
+    return _load("answer", key, _answer)
 
 
 def _warn(msg: str, *args) -> None:
@@ -121,13 +134,12 @@ class PersistentCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            # put's layout: {"payload": ..., "sha256": "...", "version": ...}
-            head, sep, tail = text.rpartition(', "sha256": "')
-            payload_text = head.removeprefix('{"payload": ')
+            head, sep, tail = text.rpartition(_SUM)
+            payload_text = head.removeprefix(_HEAD)
             if not sep or payload_text == head:
                 raise ValueError("not a JSON object in the stored layout")
             payload = json.loads(payload_text)
-            doc = json.loads('{"sha256": "' + tail)
+            doc = json.loads("{" + _SUM[2:] + tail)
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:  # UnicodeDecodeError too
@@ -148,13 +160,13 @@ class PersistentCache:
         import tempfile
         path = self._path(kind, key)
         payload_text = json.dumps(payload, sort_keys=True)
-        doc = {"version": FORMAT_VERSION, "sha256": _checksum(payload_text),
-               "payload": payload}
+        text = (f'{_HEAD}{payload_text}{_SUM}{_checksum(payload_text)}", '
+                f'"version": {FORMAT_VERSION}}}')
         tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
+                fh.write(text)
             os.replace(tmp, path)
         except OSError as exc:
             _warn("cache write to %s failed (%s); continuing", path, exc)
@@ -166,13 +178,11 @@ class PersistentCache:
 
 
 def cached_table(kind: str, key: str, compute, encode, decode):
-    """Fetch (kind,key) from the active cache or compute-and-store."""
-    cache = _active
-    if cache is not None:
-        payload = cache.get(kind, key)
-        if payload is not None:
-            return decode(payload)
-    value = compute()
-    if cache is not None:
-        cache.put(kind, key, encode(value))
+    """Fetch (kind,key) from the active cache or compute-and-store; a
+    malformed entry (see ``_load``) is recomputed and stored again."""
+    value = None if _active is None else _load(kind, key, decode)
+    if value is None:
+        value = compute()
+        if _active is not None:
+            _active.put(kind, key, encode(value))
     return value

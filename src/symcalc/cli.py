@@ -162,13 +162,6 @@ def _run(args, out, err) -> int:
     raise AssertionError(args.command)
 
 
-def _library_errors() -> tuple:
-    """The errors that exit 3.  An except clause evaluates this only when
-    an exception reaches it, so a stored answer prints without coeffs."""
-    from .coeffs import EvalError, TruncationError
-    return EvalError, TruncationError, ArithmeticError, ValueError
-
-
 def _guarded(run, err) -> int:
     """run(), with an IO or library error reported on err as exit 4 or 3."""
     try:
@@ -176,7 +169,7 @@ def _guarded(run, err) -> int:
     except OSError as exc:  # first: io.UnsupportedOperation is a ValueError
         print(f"io error: {exc}", file=err)
         return EXIT_IO
-    except _library_errors() as exc:
+    except (ArithmeticError, ValueError) as exc:  # EvalError, TruncationError
         print(f"evaluation error: {exc}", file=err)
         return EXIT_EVAL
 

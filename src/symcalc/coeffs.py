@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-class TruncationError(Exception):
+class TruncationError(ArithmeticError):
     """A declared degree cap was exceeded where truncation is not sound."""
 
 
-class EvalError(Exception):
+class EvalError(ValueError):
     """An operator or function of an expression got the wrong argument."""
 
 
@@ -226,15 +226,6 @@ class ParamPoly:
                  "coeff": fraction_to_json(c)}
                 for exps, c in sorted(self.terms.items())]
 
-    @classmethod
-    def from_json(cls, data) -> "ParamPoly":
-        params = sorted({p for t in data for p in t["exps"]}, key=_param_key)
-        terms = {}
-        for t in data:
-            e = tuple(t["exps"].get(p, 0) for p in params)
-            terms[e] = fraction_from_json(t["coeff"])
-        return cls(params, terms)
-
 
 Coeff = Fraction | ParamPoly   # a coefficient of an expansion
 
@@ -299,20 +290,10 @@ def fraction_to_json(c: Fraction) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
-def fraction_from_json(d: dict) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
-
-
 def coeff_to_json(c: Coeff):
     if isinstance(c, ParamPoly):
         return {"poly": c.to_json()}
     return fraction_to_json(Fraction(c))
-
-
-def coeff_from_json(d) -> Coeff:
-    if "poly" in d:
-        return ParamPoly.from_json(d["poly"])
-    return fraction_from_json(d)
 
 
 # -- rendering ---------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import ParamPoly, coeff_to_json, format_coeff, join_terms
-from .partitions import canonical_key, multiplicities
+from .partitions import multiplicities
 from .symfunc import SymExpr
 
 
@@ -85,12 +85,9 @@ def render_symexpr(f: SymExpr, fmt: str = "text") -> str:
 def render_stable(sc: StableChar, fmt: str = "text") -> str:
     from .stable import to_angle_basis
     coeffs = to_angle_basis(sc)
-    if fmt == "json":
-        items = sorted(coeffs.items(), key=lambda kv: canonical_key(kv[0]))
-        return _json({"reduced": sc.reduced.to_json(),
-                      "angle_terms": [{"part": list(lam),
-                                       "coeff": coeff_to_json(c)}
-                                      for lam, c in items]})
+    if fmt == "json":   # the terms of <nu> are written as those of s_nu
+        return _json({**sc.to_json(),
+                      "angle_terms": SymExpr("s", coeffs).to_json()["terms"]})
     latex = fmt == "latex"
 
     def name(lam):

@@ -82,10 +82,6 @@ class StableChar:
     def to_json(self):
         return {"reduced": self.reduced.to_json()}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(SymExpr.from_json(data["reduced"]))
-
 
 def angle(lam) -> StableChar:
     """<lam> = sigma_1 s_lam(X-1)."""
@@ -217,10 +213,6 @@ class CharPolynomial:
                 for nu, c in sorted(self.terms.items(), key=lambda t:
                                     canonical_key(t[0]))]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({tuple(entry["nu"]): entry["coeff"] for entry in data})
-
     def __repr__(self):
         return f"CharPolynomial({self.terms!r})"
 
@@ -240,10 +232,6 @@ def character_polynomial(lam) -> CharPolynomial:
 
 def _pkey(lam) -> str:
     return ",".join(map(str, lam))
-
-
-def _punkey(s: str) -> tuple:
-    return tuple(int(x) for x in s.split(",")) if s else ()
 
 
 @lru_cache(maxsize=None)
@@ -273,10 +261,17 @@ def _pleth_columns(series: str, d: int) -> dict:
         return {_pkey(lam): {_pkey(mu): str(c) for mu, c in row.items()}
                 for lam, row in rows.items()}
 
-    def decode(payload):
-        return {_punkey(lam): {_punkey(mu): Fraction(c)
-                               for mu, c in row.items()}
-                for lam, row in payload.items()}
+    def decode(payload):   # raises unless {lam: {mu: rational}} over lam |- d
+        keys = {_pkey(mu): mu for mu in partitions_up_to(d)}
+        lams = partitions_of(d)
+        if not (isinstance(payload, dict) and len(payload) == len(lams)
+                and all(isinstance(payload.get(_pkey(lam)), dict)
+                        for lam in lams)):
+            raise ValueError(f"not the rows of degree {d}")
+        # str(): a coefficient that is not a string fails as a ValueError
+        return {lam: {keys[mu]: Fraction(str(c))
+                      for mu, c in payload[_pkey(lam)].items()}
+                for lam in lams}
 
     return cached_table(f"pleth{series}", str(d), compute, encode, decode)
 

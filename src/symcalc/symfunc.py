@@ -28,7 +28,7 @@ from functools import lru_cache, partial, reduce
 from math import comb, factorial, prod
 from operator import add, mul
 
-from .coeffs import Coeff, ParamPoly, coeff_from_json, coeff_to_json
+from .coeffs import Coeff, ParamPoly, coeff_to_json
 from .partitions import (canonical_key, class_position, multiplicities,
                          partition, partitions_of, z_value)
 
@@ -160,12 +160,6 @@ class SymExpr:
         return {"basis": self.basis,
                 "terms": [{"part": list(lam), "coeff": coeff_to_json(c)}
                           for lam, c in items]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SymExpr":
-        return cls(data["basis"],
-                   {tuple(t["part"]): coeff_from_json(t["coeff"])
-                    for t in data["terms"]})
 
 
 def _coerce(x, basis: str):

@@ -4,16 +4,20 @@ Each is a plain function over the library's public objects: straightening
 of s_alpha, the vector-partition count behind the c matrix, the inverse
 of ``to_angle_basis``, the horizontal strips below a shape, the conjugate
 of a shape, a character polynomial at one cycle type, two small maps on
-a ``SymExpr`` and the plain product of expansions in a multiplicative
-basis (the library multiplies class sums, ``symfunc._class_product``).
+a ``SymExpr``, the plain product of expansions in a multiplicative
+basis (the library multiplies class sums, ``symfunc._class_product``) and
+the JSON readers, inverse to the ``to_json`` writers of the library (which
+only ever writes JSON).
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from symcalc.alphabets import shift_alphabet
+from symcalc.coeffs import ParamPoly, _param_key
 from symcalc.partitions import multiplicities, partition
-from symcalc.stable import StableChar
+from symcalc.stable import CharPolynomial, StableChar
 from symcalc.symfunc import SymExpr
 
 
@@ -137,3 +141,37 @@ def homogeneous_component(f: SymExpr, d: int) -> SymExpr:
 def map_coeffs(f: SymExpr, fn) -> SymExpr:
     """fn applied to every coefficient of f."""
     return SymExpr(f.basis, {lam: fn(c) for lam, c in f.terms.items()})
+
+
+def fraction_from_json(d: dict) -> Fraction:
+    return Fraction(int(d["num"]), int(d["den"]))
+
+
+def param_poly_from_json(data) -> ParamPoly:
+    params = sorted({p for t in data for p in t["exps"]}, key=_param_key)
+    terms = {}
+    for t in data:
+        e = tuple(t["exps"].get(p, 0) for p in params)
+        terms[e] = fraction_from_json(t["coeff"])
+    return ParamPoly(params, terms)
+
+
+def coeff_from_json(d):
+    if "poly" in d:
+        return param_poly_from_json(d["poly"])
+    return fraction_from_json(d)
+
+
+def symexpr_from_json(data: dict) -> SymExpr:
+    return SymExpr(data["basis"],
+                   {tuple(t["part"]): coeff_from_json(t["coeff"])
+                    for t in data["terms"]})
+
+
+def stable_char_from_json(data) -> StableChar:
+    return StableChar(symexpr_from_json(data["reduced"]))
+
+
+def charpoly_from_json(data) -> CharPolynomial:
+    return CharPolynomial({tuple(entry["nu"]): entry["coeff"]
+                           for entry in data})

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symcalc.coeffs import (ParamPoly, as_fraction, coeff_from_json,
-                            coeff_to_json, format_coeff)
+from symcalc.coeffs import ParamPoly, as_fraction, coeff_to_json, format_coeff
+from oracles import coeff_from_json
 from test_braid_lehrer_solomon import binomial_series_coeff
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
