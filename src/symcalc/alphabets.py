@@ -51,6 +51,9 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             cap = min(self.cap, other.cap)
@@ -220,22 +223,9 @@ def sigma_minus_one(cap: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m, primes = n, []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            primes.append(d)
-        else:
-            d += 1
-    if m > 1:
-        primes.append(m)
-    return (-1) ** len(primes)
+def _mobius(n: int) -> int:   # Moebius inversion: sum_{d | n} mu(d) = [n = 1]
+    return 1 if n == 1 else -sum(_mobius(d) for d in range(1, n // 2 + 1)
+                                 if n % d == 0)
 
 
 def lie_character(n: int) -> SymExpr:

@@ -9,9 +9,10 @@ atomic (temp file + rename), so concurrent readers on the same directory
 are safe.  All IO failures degrade to in-memory operation.
 
 Kind ``answer`` holds the stdout and stderr of one CLI command that
-exited 0, under ``answer_key``: the sha256 of its parsed arguments and of
-this package's ``.py`` files, so an edit to the code misses every answer
-stored before it.
+exited 0 and the digest of this package's ``.py`` files that computed
+them, under ``answer_key``, the sha256 of its parsed arguments.  An answer
+from other sources is a miss, and the command's next answer replaces it,
+so a directory keeps one answer per command.
 
 Warnings go to the ``symcalc.cache`` logger.  ``logging`` loads on the
 first warning, ``json`` and sha256 on the first IO or key, ``tempfile``
@@ -77,7 +78,7 @@ def answer_key(command: dict) -> "str | None":
     if not _sources:
         return None
     import json
-    return _checksum(_sources + json.dumps(command, sort_keys=True))
+    return _checksum(json.dumps(command, sort_keys=True))
 
 
 def _load(kind: str, key: str, decode):
@@ -93,14 +94,22 @@ def _load(kind: str, key: str, decode):
 
 def _answer(payload) -> dict:
     if isinstance(payload, dict) and all(
-            isinstance(payload.get(k), str) for k in ("stdout", "stderr")):
+            isinstance(payload.get(k), str)
+            for k in ("sources", "stdout", "stderr")):
         return payload
     raise ValueError("not an answer")
 
 
 def stored_answer(key: str) -> "dict | None":
-    """The active directory's answer under ``key``; a malformed one warns."""
-    return _load("answer", key, _answer)
+    """The active directory's answer under ``key`` if these sources stored
+    it; a malformed one warns."""
+    answer = _load("answer", key, _answer)
+    return answer if answer and answer["sources"] == _sources else None
+
+
+def store_answer(key: str, answer: dict) -> None:
+    """Store ``answer`` under ``key``, with the digest of these sources."""
+    _active.put("answer", key, dict(answer, sources=_sources))
 
 
 def _warn(msg: str, *args) -> None:

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .cache import answer_key, set_cache_dir, stored_answer
+from .cache import answer_key, set_cache_dir, store_answer, stored_answer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -185,18 +185,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = {k: v for k, v in vars(args).items() if k != "cache"}
     # set on every call: an earlier in-process call's directory is not kept
-    cache = set_cache_dir(args.cache or os.environ.get("SYMCALC_CACHE")
-                          or None)
+    set_cache_dir(args.cache or os.environ.get("SYMCALC_CACHE") or None)
     key = answer_key(command)
     answer = stored_answer(key) if key else None
     code = EXIT_OK
     if answer is None:
         out, err = io.StringIO(), io.StringIO()
         code = _guarded(lambda: _run(args, out, err), err)
-        answer = {"args": command, "stdout": out.getvalue(),
-                  "stderr": err.getvalue()}
+        answer = {"stdout": out.getvalue(), "stderr": err.getvalue()}
         if key and code == EXIT_OK:
-            cache.put("answer", key, answer)
+            store_answer(key, answer)
     return _guarded(lambda: _print(answer), sys.stderr) or code
 
 

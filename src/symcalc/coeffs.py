@@ -228,6 +228,7 @@ class ParamPoly:
 
 
 Coeff = Fraction | ParamPoly   # a coefficient of an expansion
+NUMBERS = (int, Fraction, ParamPoly)   # scale SymExpr, series, StableChar
 
 
 def _coerce(x, like: ParamPoly):

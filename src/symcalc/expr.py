@@ -12,18 +12,22 @@ Grammar (precedence low to high):
     number  := INT ('/' INT)?
 
 '*' is the outer product, '#' the internal (Kronecker) product — stable
-characters combine with '#' only.  'o' is outer plethysm.  Functions:
+characters multiply with '#' only.  'o' is outer plethysm.  Functions:
 ihat(g, f), D(f, g), sp(f, g), shift(f, c), eval_n(x, n), charpoly(lam).
+
+'-', '+' and '*' are Python's operators, so the value classes decide
+what combines and raise the errors (a number is c<()> to a stable
+character, see ``symcalc.stable``); the evaluator decides only '#'.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
 from .coeffs import EvalError
-from .symfunc import (SymExpr, foulkes_derivative, hall_scalar, internal,
-                      multiply)
+from .symfunc import SymExpr, foulkes_derivative, hall_scalar, internal
 from .symfunc import elem, homog, mono, power, schur
 
 
@@ -176,7 +180,6 @@ _ATOM_MAKERS = {"s": schur, "h": homog, "e": elem, "p": power, "m": mono}
 # Every other value comes from symcalc.stable, so a node that may meet
 # one imports it, as each node imports alphabets or innerpleth if it runs.
 _PLAIN = (SymExpr, Fraction)
-_INNER = "'#' needs two symmetric functions or two stable characters"
 
 
 def _stable_atom(name: str, lam: tuple):
@@ -202,20 +205,17 @@ def evaluate(node):
         if node[1] in _ATOM_MAKERS:
             return _ATOM_MAKERS[node[1]](node[2])
         return _stable_atom(node[1], node[2])
-    if kind in ("neg", "add", "sub", "mul", "inner"):
-        args = [evaluate(arg) for arg in node[1:]]
-        if not all(isinstance(v, _PLAIN) for v in args):
-            return _stable_op(kind, *args)
-        if kind == "neg":
-            return -args[0]
-        a, b = args
-        if kind in ("add", "sub"):
-            return a + b if kind == "add" else a - b
+    if kind in ("neg", "add", "sub", "mul"):
+        return getattr(operator, kind)(*map(evaluate, node[1:]))
+    if kind == "inner":
+        a, b = evaluate(node[1]), evaluate(node[2])
         if isinstance(a, SymExpr) and isinstance(b, SymExpr):
-            return multiply(a, b) if kind == "mul" else internal(a, b)
-        if kind == "mul":
-            return a * b
-        raise EvalError(_INNER)
+            return internal(a, b)
+        from .stable import StableChar, stable_kron
+        if isinstance(a, StableChar) and isinstance(b, StableChar):
+            return stable_kron(a, b)
+        raise EvalError("'#' needs two symmetric functions or two stable "
+                        "characters")
     if kind == "pleth":
         from .alphabets import outer_plethysm
         a = _as_symexpr(evaluate(node[1]), "plethysm")
@@ -224,36 +224,6 @@ def evaluate(node):
     if kind == "call":
         return _call(node[1], node[2])
     raise EvalError(f"unknown node {kind!r}")
-
-
-def _stable_op(kind: str, *args):
-    """An operator on values one of which symcalc.stable made."""
-    from .stable import CharPolynomial, StableChar, angle, stable_kron
-    if kind == "inner":
-        if all(isinstance(v, StableChar) for v in args):
-            return stable_kron(*args)
-        raise EvalError(_INNER)
-    if any(isinstance(v, CharPolynomial) for v in args):
-        raise EvalError("character polynomials take no '+', '-' or '*'")
-    if kind == "neg":
-        return -args[0]
-    a, b = args
-    if kind in ("add", "sub"):
-        if isinstance(a, StableChar) != isinstance(b, StableChar):
-            if isinstance(a, Fraction):
-                a = a * angle([])
-            elif isinstance(b, Fraction):
-                b = b * angle([])
-            else:
-                raise EvalError("cannot mix stable characters with "
-                                "symmetric functions in a sum")
-        return a + b if kind == "add" else a - b
-    if isinstance(a, StableChar) and isinstance(b, StableChar):
-        raise EvalError("use '#' for products of stable characters")
-    sc, other = (a, b) if isinstance(a, StableChar) else (b, a)
-    if isinstance(other, Fraction):
-        return sc * other
-    raise EvalError("stable characters only scale by numbers")
 
 
 def _call(name: str, args):

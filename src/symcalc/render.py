@@ -10,9 +10,8 @@ coefficient and the name.  ``coeffs.join_terms`` joins the term texts;
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeffs import ParamPoly, coeff_to_json, format_coeff, join_terms
+from .coeffs import (NUMBERS, ParamPoly, coeff_to_json, format_coeff,
+                     join_terms)
 from .partitions import multiplicities
 from .symfunc import SymExpr
 
@@ -115,7 +114,7 @@ def render_charpoly(cp: CharPolynomial, fmt: str = "text") -> str:
 def render_value(value, fmt: str = "text") -> str:
     if isinstance(value, SymExpr):
         return render_symexpr(value, fmt)
-    if not isinstance(value, (int, Fraction, ParamPoly)):
+    if not isinstance(value, NUMBERS):
         # only symcalc.stable makes such values, so it is loaded already
         from .stable import CharPolynomial, StableChar
         if isinstance(value, StableChar):

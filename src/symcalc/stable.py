@@ -7,7 +7,9 @@ collects the irreducible characters chi^{(n-|lam|, lam)} for all n, and
 
 Stable (reduced) Kronecker products, character polynomials, the tilde
 bases s~/h~/x~ with their transition matrices, coproducts and mixed
-products all live here.
+products all live here.  The classes own their operators: stable
+characters add and scale with numbers (c is c<()>) and multiply only by
+``stable_kron``; character polynomials take no arithmetic.
 
 A stable character is a character polynomial: at cycle type beta,
 sigma_1 f is V(beta) = sum_kappa chi_f(kappa) prod_i C(m_i(beta), n_i(kappa))
@@ -32,12 +34,12 @@ h_lam(Omega_beta) of h_lam^[<<1>>]; only T is an adjoint of plethysm.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 from math import comb, factorial, prod
 
 from .alphabets import _pleth_adjoint, _tails, invert_sigma, shift_alphabet
 from .cache import cached_table
-from .coeffs import as_fraction, coeff_frobenius
+from .coeffs import NUMBERS, EvalError, as_fraction, coeff_frobenius
 from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
                          partitions_up_to, power_cycle_type)
@@ -47,7 +49,8 @@ from .symfunc import (SymExpr, _as_int, _class_values, _eval_power_sums,
 
 
 class StableChar:
-    """The series sigma_1 * reduced; equality is on reduced parts."""
+    """The series sigma_1 * reduced; equality is on reduced parts.  A
+    number c adds as c<()> and scales; a symmetric function does neither."""
 
     __slots__ = ("reduced",)
 
@@ -58,17 +61,29 @@ class StableChar:
         return (isinstance(other, StableChar)
                 and convert(self.reduced, "s") == convert(other.reduced, "s"))
 
-    def __add__(self, other):
-        if not isinstance(other, StableChar):
+    def _sum(self, other, op):
+        """op of the reduced parts, which keeps the left operand's basis."""
+        if isinstance(other, NUMBERS):
+            other = StableChar(SymExpr("s", {(): other}))
+        elif isinstance(other, SymExpr):
+            raise EvalError("cannot mix stable characters with symmetric "
+                            "functions in a sum")
+        elif not isinstance(other, StableChar):
             return NotImplemented
-        return StableChar(self.reduced + other.reduced)
+        return StableChar(op(self.reduced, other.reduced))
 
-    def __sub__(self, other):
-        if not isinstance(other, StableChar):
-            return NotImplemented
-        return StableChar(self.reduced - other.reduced)
+    __add__ = partialmethod(_sum, op=lambda a, b: a + b)
+    __radd__ = partialmethod(_sum, op=lambda a, b: b + a)
+    __sub__ = partialmethod(_sum, op=lambda a, b: a - b)
+    __rsub__ = partialmethod(_sum, op=lambda a, b: b - a)
 
     def __mul__(self, c):
+        if isinstance(c, StableChar):
+            raise EvalError("use '#' for products of stable characters")
+        if isinstance(c, SymExpr):
+            raise EvalError("stable characters only scale by numbers")
+        if not isinstance(c, NUMBERS):
+            return NotImplemented
         return StableChar(self.reduced * c)
 
     __rmul__ = __mul__
@@ -203,6 +218,12 @@ class CharPolynomial:
 
     def __eq__(self, other):
         return isinstance(other, CharPolynomial) and self.terms == other.terms
+
+    def _no_arithmetic(self, other=None):
+        raise EvalError("character polynomials take no '+', '-' or '*'")
+
+    __neg__ = __add__ = __radd__ = __sub__ = __rsub__ = _no_arithmetic
+    __mul__ = __rmul__ = _no_arithmetic
 
     def evaluate(self, mults: dict) -> int:
         """Value at cycle multiplicities {i: m_i}."""

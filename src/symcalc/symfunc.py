@@ -28,7 +28,7 @@ from functools import lru_cache, partial, reduce
 from math import comb, factorial, prod
 from operator import add, mul
 
-from .coeffs import Coeff, ParamPoly, coeff_to_json
+from .coeffs import NUMBERS, Coeff, ParamPoly, coeff_to_json
 from .partitions import (canonical_key, class_position, multiplicities,
                          partition, partitions_of, z_value)
 
@@ -121,6 +121,8 @@ class SymExpr:
     def __mul__(self, other):
         if isinstance(other, SymExpr):
             return multiply(self, other)
+        if not isinstance(other, NUMBERS):
+            return NotImplemented
         return SymExpr(self.basis,
                        {lam: c * other for lam, c in self.terms.items()})
 
@@ -132,7 +134,7 @@ class SymExpr:
         return _from_class_sums(_class_sums(self), target)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, ParamPoly)):
+        if isinstance(other, NUMBERS):
             other = _coerce(other, self.basis)
         if not isinstance(other, SymExpr):
             return NotImplemented
@@ -165,7 +167,7 @@ class SymExpr:
 def _coerce(x, basis: str):
     if isinstance(x, SymExpr):
         return x
-    if isinstance(x, (int, Fraction, ParamPoly)):
+    if isinstance(x, NUMBERS):
         return SymExpr(basis, {(): x})
     return NotImplemented
 

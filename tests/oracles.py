@@ -1,7 +1,9 @@
 """Reference helpers that only the tests use.
 
 Each is a plain function over the library's public objects: straightening
-of s_alpha, the vector-partition count behind the c matrix, the inverse
+of s_alpha, the Moebius function by trial division (the library's
+``alphabets._mobius`` is Moebius inversion), the vector-partition count
+behind the c matrix, the inverse
 of ``to_angle_basis``, the horizontal strips below a shape, the conjugate
 of a shape, a character polynomial at one cycle type, two small maps on
 a ``SymExpr``, the plain product of expansions in a multiplicative
@@ -36,6 +38,26 @@ def straighten_schur(alpha):
     sign = (-1) ** sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
     lam = [b - (k - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))]
     return sign, partition(x for x in lam if x)
+
+
+def mobius(n: int) -> int:
+    """The Moebius function by trial division: 0 when a square divides n,
+    else (-1) to the number of prime factors."""
+    if n == 1:
+        return 1
+    m, primes = n, []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            primes.append(d)
+        else:
+            d += 1
+    if m > 1:
+        primes.append(m)
+    return (-1) ** len(primes)
 
 
 def vector_partition_count(lam, mu) -> int:

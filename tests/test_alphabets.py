@@ -1,13 +1,13 @@
 from fractions import Fraction
 
-from symcalc.alphabets import (TruncatedSeries, invert_sigma, lie_character,
-                               outer_plethysm, scale_alphabet, shift_alphabet,
-                               sigma_minus_one, sigma_series)
+from symcalc.alphabets import (TruncatedSeries, _mobius, invert_sigma,
+                               lie_character, outer_plethysm, scale_alphabet,
+                               shift_alphabet, sigma_minus_one, sigma_series)
 from symcalc.coeffs import ParamPoly, as_fraction
 from symcalc.partitions import partitions_up_to
 from symcalc.symfunc import (SymExpr, elem, hall_scalar, homog, mono, multiply,
                              power, schur)
-from oracles import homogeneous_component, map_coeffs
+from oracles import homogeneous_component, map_coeffs, mobius
 from test_braid_lehrer_solomon import (_necklace_poly, binomial_exp_product,
                                       binomial_series_coeff)
 
@@ -83,6 +83,11 @@ def test_pbw_factorization():
     rhs = SymExpr("p", {(1,) * k: Fraction(1) for k in range(1, cap + 1)}) \
         + SymExpr.one("p")
     assert lhs.in_basis("p").truncate(cap) == rhs
+
+
+def test_mobius_by_inversion_is_the_trial_division():
+    assert [_mobius(n) for n in range(1, 1001)] == \
+        [mobius(n) for n in range(1, 1001)]
 
 
 def test_invert_sigma():

@@ -1,6 +1,7 @@
 """Stored CLI answers: with a cache directory, a command that exited 0
 before prints its stored stdout and stderr without importing any math
-module, and a failed command stores nothing."""
+module, a failed command stores nothing, and each command keeps one
+answer file, which an answer from other sources replaces."""
 
 import logging
 import os
@@ -72,7 +73,11 @@ def test_a_changed_source_digest_misses(tmp_path, monkeypatch):
         assert _answers(tmp_path) == first
         monkeypatch.setattr(cache_mod, "_sources", "0" * 64)
         assert run_cli(argv) == want
-        assert len(_answers(tmp_path)) == 2
+        assert _answers(tmp_path) == first   # replaced, not kept beside
+        [name] = first
+        key = name[len("answer-"):-len(".json")]
+        stored = PersistentCache(tmp_path).get("answer", key)
+        assert stored["sources"] == "0" * 64
     finally:
         cache_mod.set_cache_dir(None)
 

@@ -5,7 +5,10 @@ evaluation error), with nothing on stdout.
 Each ``raise ParseError`` and ``raise EvalError`` in ``symcalc.expr`` that
 a parsed expression can reach has at least one case here; ``unknown node``
 and ``unknown function`` guard the evaluator against ASTs the parser never
-builds.
+builds.  The evaluator applies ``-``, ``+`` and ``*`` as Python operators,
+so the errors of those three are raised by the value classes themselves
+(``StableChar`` and ``CharPolynomial`` in ``symcalc.stable``); each mixed
+pair of operands of ``+`` and ``*`` has a case in both orders.
 """
 
 import pytest
@@ -55,6 +58,26 @@ EVAL_ERRORS = [
                     "in a sum"),
     ("A[1] * A[1]", "use '#' for products of stable characters"),
     ("A[1] * s[1]", "stable characters only scale by numbers"),
+    # the mirror operand orders
+    ("s[1] + A[1]", "cannot mix stable characters with symmetric functions "
+                    "in a sum"),
+    ("s[1] - A[1]", "cannot mix stable characters with symmetric functions "
+                    "in a sum"),
+    ("A[1] - s[1]", "cannot mix stable characters with symmetric functions "
+                    "in a sum"),
+    ("s[1] * A[1]", "stable characters only scale by numbers"),
+    ("1 + charpoly(s[1])", "character polynomials take no '+', '-' or '*'"),
+    ("A[1] + charpoly(s[1])", "character polynomials take no '+', '-' or "
+                              "'*'"),
+    ("charpoly(s[1]) + A[1]", "character polynomials take no '+', '-' or "
+                              "'*'"),
+    ("charpoly(s[1]) * 2", "character polynomials take no '+', '-' or '*'"),
+    ("charpoly(s[1]) * A[1]", "character polynomials take no '+', '-' or "
+                              "'*'"),
+    ("A[1] * charpoly(s[1])", "character polynomials take no '+', '-' or "
+                              "'*'"),
+    ("charpoly(s[1]) # A[1]", "'#' needs two symmetric functions or two "
+                              "stable characters"),
     ("ihat(s[2])", "ihat takes 2 arguments, got 1"),
     ("D(s[1])", "D takes 2 arguments, got 1"),
     ("sp(s[1], s[1], s[1])", "sp takes 2 arguments, got 3"),

@@ -3,7 +3,7 @@ exactly its recorded exit code, stdout and stderr.
 
 The corpus covers all six ``tables`` sections at ``--max-degree`` 1-7,
 ``braid --n 1..8``, ``endofunctions --n 1..7``, four ``reduced-kron``
-pairs, five ``charpoly`` calls in each format and 33 ``eval`` forms in
+pairs, five ``charpoly`` calls in each format and 39 ``eval`` forms in
 every ``--format`` and ``--basis``; every command exits 0.  The test
 replays each command in-process through ``symcalc.cli.main`` with no
 cache directory and compares bytes; another test replays them all twice
@@ -43,6 +43,9 @@ EVAL_FORMS = (
     "P[2] # P[1,1]", "ts[2,1] * th[1]", "m[2,1] * e[2]",
     "1/3 * p[3] - p[2,1] + 2 * h[1,1,1]", "D(s[1], s[3,2])",
     "s[2] o (p[2] - s[1,1])", "ihat(s[2], A[2,1])",
+    # stable characters with numbers, either side of the operator
+    "1 + A[1]", "A[2,1] - 2", "1/2 - P[1]", "-(P[2] - A[1])",
+    "2 * A[1] * 3/2", "P[1] - P[1]",
 )
 
 REDUCED_KRON = (("2,1", "1,1"), ("1,1,1", "2"), ("3", "2"), ("2,2", "2,1"))

@@ -5,6 +5,10 @@ read from the file alone, so a wrong recording cannot pass as a snapshot.
 - The ``inner-plethysm`` lines give the matrix C with [h_lam] = sum_mu
   C[lam][mu] <<h_mu>>, the ``perm-chars`` lines the matrix T with
   <<h_lam>> = sum_mu T[lam][mu] [h_mu]; they are inverse, C T = I.
+- The entry C[lam][mu] counts the multisets of nonzero integer columns
+  with row sums lam and column multiplicities mu (``vector_partition_count``
+  of ``tests/oracles.py``), zeros included: with C T = I, this certifies
+  the ``perm-chars`` table too.
 - A ``charpoly --lambda lam --format json`` record is the character
   polynomial Xi^lam on the binomial basis prod_i C(m_i, n_i); at the
   cycle type mu of every n with (n - |lam|, lam) a partition, it is the
@@ -16,9 +20,10 @@ import re
 from fractions import Fraction
 from math import comb, prod
 
-from symcalc.partitions import multiplicities, partitions_of
+from symcalc.partitions import multiplicities, partitions_of, partitions_up_to
 from symcalc.symfunc import mn_character
 
+from oracles import vector_partition_count
 from test_golden import PATH
 
 MAX_N = 9
@@ -56,6 +61,18 @@ def test_inner_plethysm_and_perm_chars_tables_are_inverse():
             for nu, b in t[mu].items():
                 product[nu] = product.get(nu, 0) + a * b
         assert {nu: v for nu, v in product.items() if v} == {lam: 1}, lam
+
+
+def test_inner_plethysm_entries_are_vector_partition_counts():
+    c = _table("inner-plethysm", 7)
+    entries = nonzero = 0
+    for lam in partitions_up_to(6):
+        for mu in partitions_up_to(sum(lam)):
+            if lam and mu:
+                want = vector_partition_count(lam, mu)
+                assert c[lam].get(mu, 0) == want, (lam, mu)
+                entries, nonzero = entries + 1, nonzero + bool(want)
+    assert (entries, nonzero) == (525, 197)
 
 
 def test_charpoly_records_are_irreducible_character_values():

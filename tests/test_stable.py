@@ -40,6 +40,19 @@ def test_evaluate_angle_at_n():
     assert evaluate_at_n(angle([]), 3) == schur([3]).in_basis("s")
 
 
+def test_angle_at_every_n_is_the_straightened_schur():
+    # below the stable range too: n from 0 to 2|lam| + 1, 570 cases
+    cases = 0
+    for lam in partitions_up_to(7):
+        k = sum(lam)
+        for n in range(2 * k + 2):
+            st = straighten_schur((n - k,) + lam)
+            want = SymExpr("s", {} if st is None else {st[1]: st[0]})
+            assert evaluate_at_n(angle(lam), n) == want, (lam, n)
+            cases += 1
+    assert cases == 570
+
+
 def test_dangle_evaluates_to_young_module():
     # <<mu>> at n is the permutation character h_{(n-|mu|, mu)} sorted
     for n in (4, 5, 6):
