@@ -5,7 +5,7 @@ raises every formal parameter to the k-th power; rational scalars are
 fixed (they are binomial elements), so f(X+-1) is f[p_1 +- 1] and f(-X)
 is f[-p_1].  Infinite series (sigma_1, sigma_1-1, -L(-X)) are
 ``TruncatedSeries`` with a degree cap that only shrinks under arithmetic;
-their product is ``multiply`` cut at the smaller cap.  ``outer_plethysm``,
+a product with one is ``multiply`` cut at the cap.  ``outer_plethysm``,
 ``_pleth_pairing`` and the adjoint of plethysm f -> sum_mu <f, m_mu[g]>
 h_mu, ``_pleth_adjoint``, share one tail kernel, ``_tails``, and all but
 the tilde rows the trees of the last 8 exact (g, cap) (``_shared_tail``).
@@ -55,10 +55,12 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        cap = self.cap
         if isinstance(other, TruncatedSeries):
-            cap = min(self.cap, other.cap)
-            return TruncatedSeries(multiply(self.expr, other.expr, cap), cap)
-        return TruncatedSeries(self.expr * other, self.cap)
+            other, cap = other.expr, min(cap, other.cap)
+        if isinstance(other, SymExpr):
+            return TruncatedSeries(multiply(self.expr, other, cap), cap)
+        return TruncatedSeries(self.expr * other, cap)
 
     __rmul__ = __mul__
 

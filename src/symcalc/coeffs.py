@@ -4,7 +4,9 @@ Rationals are ``fractions.Fraction`` (arbitrary precision, canonical form).
 ``ParamPoly`` is a polynomial in declared formal parameters (t, q, t0, t1,
 ...) with Fraction coefficients and optional per-parameter degree caps;
 caps implement truncated series like 1/(1-q) without leaving the
-polynomial ring.
+polynomial ring.  Two ParamPolys meet in one place, ``_align``, on the
+union of their params, so == and hash go by parameter name whatever the
+declared params, and a constant hashes as its number.
 
 Coefficients of symmetric-function expansions are either Fraction or
 ParamPoly; both support +, -, * against each other and against ints.
@@ -90,24 +92,13 @@ class ParamPoly:
 
     # -- structure ---------------------------------------------------
 
-    def canon(self) -> "ParamPoly":
-        """Drop parameters that never occur (canonical form for ==)."""
-        used = [i for i, _ in enumerate(self.params)
-                if any(e[i] for e in self.terms)]
-        params = tuple(self.params[i] for i in used)
-        terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        caps = {p: self.caps[p] for p in params if p in self.caps}
-        return ParamPoly(params, terms, caps)
-
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
     def constant_value(self) -> Fraction:
-        zero = (0,) * len(self.params)
-        extra = [e for e in self.terms if any(e)]
-        if extra:
+        if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get((0,) * len(self.params), Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -117,15 +108,15 @@ class ParamPoly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        a, b = self.canon(), other.canon()
-        if a.params == b.params:
-            return a.terms == b.terms
-        sp, st = _align(a, b)
-        return st[0] == st[1]
+        _, (ta, tb), _ = _align(self, other)
+        return ta == tb
 
     def __hash__(self):
-        c = self.canon()
-        return hash((c.params, frozenset(c.terms.items())))
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash(frozenset(
+            (frozenset((p, x) for p, x in zip(self.params, e) if x), c)
+            for e, c in self.terms.items()))
 
     # -- arithmetic --------------------------------------------------
 
@@ -133,7 +124,7 @@ class ParamPoly:
         other = _coerce(other, self)
         if other is NotImplemented:
             return NotImplemented
-        params, (ta, tb), caps = _align_full(self, other)
+        params, (ta, tb), caps = _align(self, other)
         out = dict(ta)
         for e, c in tb.items():
             out[e] = out.get(e, Fraction(0)) + c
@@ -165,7 +156,7 @@ class ParamPoly:
                                    self.caps)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        params, (ta, tb), caps = _align_full(self, other)
+        params, (ta, tb), caps = _align(self, other)
         out: dict = {}
         for ea, ca in ta.items():
             for eb, cb in tb.items():
@@ -245,6 +236,7 @@ def _union(pa: tuple, pb: tuple) -> tuple:
 
 
 def _align(a: ParamPoly, b: ParamPoly):
+    """(params, (terms of a, terms of b), caps) on the union of the params."""
     params = _union(a.params, b.params)
 
     def remap(p: ParamPoly):
@@ -254,18 +246,13 @@ def _align(a: ParamPoly, b: ParamPoly):
         return {tuple(e[i] if i is not None else 0 for i in idx): c
                 for e, c in p.terms.items()}
 
-    return params, (remap(a), remap(b))
-
-
-def _align_full(a: ParamPoly, b: ParamPoly):
-    params, terms = _align(a, b)
     caps = dict(b.caps)
     for name, cap in a.caps.items():
         if name in caps and caps[name] is not None and cap is not None:
             caps[name] = min(caps[name], cap)
         else:
             caps[name] = cap
-    return params, terms, caps
+    return params, (remap(a), remap(b)), caps
 
 
 # -- generic coefficient helpers --------------------------------------

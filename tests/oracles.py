@@ -7,7 +7,8 @@ behind the c matrix, the inverse
 of ``to_angle_basis``, the horizontal strips below a shape, the conjugate
 of a shape, a character polynomial at one cycle type, two small maps on
 a ``SymExpr``, the plain product of expansions in a multiplicative
-basis (the library multiplies class sums, ``symfunc._class_product``) and
+basis (the library multiplies class sums, ``symfunc._class_product``), a
+``ParamPoly`` without its unused parameters (``canon``) and
 the JSON readers, inverse to the ``to_json`` writers of the library (which
 only ever writes JSON).
 """
@@ -163,6 +164,15 @@ def homogeneous_component(f: SymExpr, d: int) -> SymExpr:
 def map_coeffs(f: SymExpr, fn) -> SymExpr:
     """fn applied to every coefficient of f."""
     return SymExpr(f.basis, {lam: fn(c) for lam, c in f.terms.items()})
+
+
+def canon(p: ParamPoly) -> ParamPoly:
+    """p without the parameters that never occur in it."""
+    used = [i for i, _ in enumerate(p.params) if any(e[i] for e in p.terms)]
+    params = tuple(p.params[i] for i in used)
+    terms = {tuple(e[i] for i in used): c for e, c in p.terms.items()}
+    return ParamPoly(params, terms, {q: p.caps[q] for q in params
+                                     if q in p.caps})
 
 
 def fraction_from_json(d: dict) -> Fraction:

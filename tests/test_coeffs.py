@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symcalc.coeffs import ParamPoly, as_fraction, coeff_to_json, format_coeff
+from symcalc.coeffs import (ParamPoly, _align, as_fraction, coeff_to_json,
+                            format_coeff)
 from oracles import coeff_from_json
 from test_braid_lehrer_solomon import binomial_series_coeff
 
@@ -94,3 +95,65 @@ def test_arithmetic_results_are_normal_forms(a, b, n, k):
         assert (r.params, r.terms, r.caps) == (again.params, again.terms,
                                                 again.caps)
         assert all(type(c) is Fraction and c for c in r.terms.values())
+
+
+# -- equality, hash and the one alignment ---------------------------------
+
+
+@given(small_polys, st.sampled_from(["q", "t0", "t3"]).flatmap(
+    lambda extra: st.permutations(["t1", "t2", extra])))
+def test_eq_and_hash_go_by_parameter_name(a, params):
+    # the same polynomial on permuted params with one unused param added
+    b = ParamPoly(params, {tuple(dict(zip(a.params, e)).get(p, 0)
+                                 for p in params): c
+                           for e, c in a.terms.items()})
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert a + 1 != b and hash(a + 1) == hash(b + 1)
+
+
+def _former_align_full_caps(a, b):
+    caps = dict(b.caps)
+    for name, cap in a.caps.items():
+        if name in caps and caps[name] is not None and cap is not None:
+            caps[name] = min(caps[name], cap)
+        else:
+            caps[name] = cap
+    return caps
+
+
+def test_align_merges_caps_by_the_smaller_cap():
+    polys = [ParamPoly(("q", "t1"), {(1, 1): 1}, {"q": 3, "t1": 2}),
+             ParamPoly(("q",), {(2,): 1}, {"q": 5}),
+             ParamPoly(("q", "t1"), {(0, 1): 1}, {"q": None, "t1": 1}),
+             ParamPoly(("t1",), {(1,): 3}, {"t1": None}),
+             ParamPoly(("t2",), {(1,): 1}, {"t2": 4}),
+             ParamPoly(("q",), {(1,): 2})]
+    for a in polys:
+        for b in polys:
+            assert _align(a, b)[2] == _former_align_full_caps(a, b), (a, b)
+
+
+def test_eq_and_hash_build_no_parampoly(monkeypatch):
+    a = ParamPoly(("t1", "q"), {(1, 0): 2, (0, 1): 1, (1, 1): 1})
+    b = ParamPoly(("q", "t1", "t2"), {(1, 0, 0): 1, (0, 1, 0): 2,
+                                      (1, 1, 0): 1})
+    c, two = a * 2, ParamPoly.const(2, ("q",), {"q": 1})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ParamPoly built")
+
+    monkeypatch.setattr(ParamPoly, "__init__", refuse)
+    assert a == b and b == a and a != c and c != b
+    assert hash(a) == hash(b) and len({a, b, c}) == 2
+    assert two == 2 and hash(two) == hash(2)
+
+
+@pytest.mark.parametrize("c", [2, 0, -3, Fraction(3, 4), Fraction(-5, 2)])
+def test_a_constant_hashes_as_its_number(c):
+    for p in [ParamPoly.const(c), ParamPoly.const(c, ("q",)),
+              ParamPoly.const(c, ("q", "t1"), {"q": 2, "t1": None}),
+              ParamPoly.const(c, ("t1",), {"t1": 0})]:
+        for number in (c, Fraction(c)):
+            assert p == number and hash(p) == hash(number)
+            assert number in {p} and p in {number}

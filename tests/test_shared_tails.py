@@ -178,7 +178,7 @@ def test_align_fast_path_matches_the_remap():
              ParamPoly((), {(): Fraction(7, 3)})]
     for a in polys:
         for b in polys:
-            params, (ta, tb) = _align(a, b)
+            params, (ta, tb), _ = _align(a, b)
             want_params, (wa, wb) = _ref_align(a, b)
             assert params == want_params
             assert list(ta.items()) == list(wa.items())

@@ -8,10 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from symcalc import alphabets
 from symcalc.alphabets import TruncatedSeries, sigma_series
-from symcalc.coeffs import EvalError
+from symcalc.coeffs import EvalError, ParamPoly
 from symcalc.stable import StableChar, angle, character_polynomial
-from symcalc.symfunc import SymExpr, schur
+from symcalc.symfunc import SymExpr, multiply, schur
+
+from test_change_of_basis import _mixed_inputs, _same
 
 SERIES = sigma_series("sigma", 1, 3)
 
@@ -34,6 +37,30 @@ def test_a_float_scales_nothing(value):
     for product in (lambda: value * 1.5, lambda: 1.5 * value):
         with pytest.raises(TypeError):
             product()
+
+
+def test_a_series_times_a_symmetric_function_is_the_truncated_product():
+    t = ParamPoly.var("t")
+    for series in [sigma_series("sigma", 1, 2), sigma_series("lambda", -1, 4),
+                   TruncatedSeries(schur([2, 1], t) + schur([]), 3)]:
+        for f in _mixed_inputs():
+            want = TruncatedSeries(multiply(series.expr, f), series.cap)
+            for got in (series * f, f * series):
+                _same(got, want)
+                assert list(got.expr.terms) == list(want.expr.terms)
+
+
+def test_a_series_passes_its_cap_to_multiply(monkeypatch):
+    caps = []
+
+    def spy(f, g, cap=None):
+        caps.append(cap)
+        return multiply(f, g, cap)
+
+    monkeypatch.setattr(alphabets, "multiply", spy)
+    f, series = schur([5, 4, 3]), sigma_series("sigma", 1, 2)
+    assert series * f == f * series == TruncatedSeries(SymExpr("h"), 2)
+    assert caps == [2, 2]
 
 
 def test_a_series_subtracts_from_either_side():
