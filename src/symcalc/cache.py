@@ -1,5 +1,4 @@
-"""Optional persistent cache for memoized coefficient tables and for the
-CLI's answers.
+"""Optional persistent cache for the CLI's answers.
 
 One JSON file per (kind, key), with a format-version header and a sha256
 checksum of the payload; corrupted, stale or malformed entries are logged
@@ -8,11 +7,13 @@ with sorted keys, so a file in another layout is unreadable.  Writes are
 atomic (temp file + rename), so concurrent readers on the same directory
 are safe.  All IO failures degrade to in-memory operation.
 
-Kind ``answer`` holds the stdout and stderr of one CLI command that
-exited 0 and the digest of this package's ``.py`` files that computed
-them, under ``answer_key``, the sha256 of its parsed arguments.  An answer
-from other sources is a miss, and the command's next answer replaces it,
-so a directory keeps one answer per command.
+The one kind written is ``answer``: the stdout and stderr of one CLI
+command that exited 0 and the digest of this package's ``.py`` files that
+computed them, under ``answer_key``, the sha256 of its parsed arguments.
+An answer from other sources is a miss, and the command's next answer
+replaces it, so a directory keeps one answer per command.  No
+intermediate result is stored, so no entry outlives the code that wrote
+it.
 
 Warnings go to the ``symcalc.cache`` logger.  ``logging`` loads on the
 first warning, ``json`` and sha256 on the first IO or key, ``tempfile``
@@ -81,30 +82,19 @@ def answer_key(command: dict) -> "str | None":
     return _checksum(json.dumps(command, sort_keys=True))
 
 
-def _load(kind: str, key: str, decode):
-    """decode(payload) of the active directory's entry; None if absent,
-    corrupted or malformed (decode raised Arithmetic/Lookup/ValueError)."""
-    payload = _active.get(kind, key)
-    try:
-        return None if payload is None else decode(payload)
-    except (ArithmeticError, LookupError, ValueError):
-        _warn("cache entry %s malformed; recomputing",
-              _active._path(kind, key))
-
-
-def _answer(payload) -> dict:
-    if isinstance(payload, dict) and all(
-            isinstance(payload.get(k), str)
-            for k in ("sources", "stdout", "stderr")):
-        return payload
-    raise ValueError("not an answer")
-
-
 def stored_answer(key: str) -> "dict | None":
     """The active directory's answer under ``key`` if these sources stored
-    it; a malformed one warns."""
-    answer = _load("answer", key, _answer)
-    return answer if answer and answer["sources"] == _sources else None
+    it; a payload that is not an answer warns."""
+    answer = _active.get("answer", key)
+    if answer is None:
+        return None
+    if not (isinstance(answer, dict) and all(
+            isinstance(answer.get(k), str)
+            for k in ("sources", "stdout", "stderr"))):
+        _warn("cache entry %s malformed; recomputing",
+              _active._path("answer", key))
+        return None
+    return answer if answer["sources"] == _sources else None
 
 
 def store_answer(key: str, answer: dict) -> None:
@@ -131,8 +121,7 @@ class PersistentCache:
             self.usable = False
 
     def _path(self, kind: str, key: str) -> str:
-        safe = key.replace(",", "_").replace(" ", "")
-        return os.path.join(self.directory, f"{kind}-{safe}.json")
+        return os.path.join(self.directory, f"{kind}-{key}.json")
 
     def get(self, kind: str, key: str):
         """Return the stored payload, or None if absent or corrupted."""
@@ -185,13 +174,3 @@ class PersistentCache:
                 except OSError:
                     pass
 
-
-def cached_table(kind: str, key: str, compute, encode, decode):
-    """Fetch (kind,key) from the active cache or compute-and-store; a
-    malformed entry (see ``_load``) is recomputed and stored again."""
-    value = None if _active is None else _load(kind, key, decode)
-    if value is None:
-        value = compute()
-        if _active is not None:
-            _active.put(kind, key, encode(value))
-    return value

@@ -64,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--cache", metavar="DIR",
                     help="cache directory (also env var SYMCALC_CACHE): "
-                         "keeps tables and the answer of each command run "
-                         "on it; safe to delete")
+                         "keeps the answer of each command run on it; safe "
+                         "to delete")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression")

@@ -29,16 +29,16 @@ is the adjoint of g -> g[H] and T that of g -> g[M], so on class values
 and h_lam = sum_mu c_lam^mu h~_mu with c_lam^mu = <h_lam, m_mu[H]>.
 T^-1 f = f^[<<1>>], so the rows of T^-1 are read off the values
 h_lam(Omega_beta) of h_lam^[<<1>>]; only T is an adjoint of plethysm.
+The rows of both maps on h_lam (``_pleth_columns``) are memoized in
+memory per degree; nothing in this module reads or writes the disk.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partialmethod
 from math import comb, factorial, prod
 
 from .alphabets import _pleth_adjoint, _tails, invert_sigma, shift_alphabet
-from .cache import cached_table
 from .coeffs import NUMBERS, EvalError, as_fraction, coeff_frobenius
 from .partitions import (canonical_key, horizontal_strip_supershapes,
                          multiplicities, partition, partitions_of,
@@ -58,8 +58,7 @@ class StableChar:
         self.reduced = reduced
 
     def __eq__(self, other):
-        return (isinstance(other, StableChar)
-                and convert(self.reduced, "s") == convert(other.reduced, "s"))
+        return isinstance(other, StableChar) and self.reduced == other.reduced
 
     def _sum(self, other, op):
         """op of the reduced parts, which keeps the left operand's basis."""
@@ -251,10 +250,6 @@ def character_polynomial(lam) -> CharPolynomial:
 # ---------------------------------------------------------------------------
 # the tilde bases: every tilde function is T or T^-1
 
-def _pkey(lam) -> str:
-    return ",".join(map(str, lam))
-
-
 @lru_cache(maxsize=None)
 def _pleth_columns(series: str, d: int) -> dict:
     """{lam: {mu: <h_lam, m_mu[S]>}} for lam |- d.  For S = H row lam is
@@ -262,39 +257,20 @@ def _pleth_columns(series: str, d: int) -> dict:
     h_{lam_j}(Omega_beta), one count per beta for all rows.  For S = M it
     is T(h_lam), ``_pleth_adjoint`` of h_lam over |mu| <= d, all rows on
     one ``_tails`` tree of M, not ``_shared_tail``."""
-    def compute():
-        if series == "H":   # h_k(Omega_beta) = #{a >= 0: sum_i beta_i a_i = k}
-            counts = {}
-            for beta in partitions_up_to(d):
-                h = counts[beta] = [1] + [0] * d
-                for b in beta:
-                    for k in range(b, d + 1):
-                        h[k] += h[k - b]
-            return {lam: _from_values(
-                        lambda beta: prod(counts[beta][j] for j in lam), d
-                    ).terms for lam in partitions_of(d)}
-        s = invert_sigma(max(d, 1))   # invert_sigma needs cap >= 1
-        tail = _tails(s.expr, s.cap)
-        return {lam: _pleth_adjoint(homog(lam), tail, range(d + 1)).terms
-                for lam in partitions_of(d)}
-
-    def encode(rows):
-        return {_pkey(lam): {_pkey(mu): str(c) for mu, c in row.items()}
-                for lam, row in rows.items()}
-
-    def decode(payload):   # raises unless {lam: {mu: rational}} over lam |- d
-        keys = {_pkey(mu): mu for mu in partitions_up_to(d)}
-        lams = partitions_of(d)
-        if not (isinstance(payload, dict) and len(payload) == len(lams)
-                and all(isinstance(payload.get(_pkey(lam)), dict)
-                        for lam in lams)):
-            raise ValueError(f"not the rows of degree {d}")
-        # str(): a coefficient that is not a string fails as a ValueError
-        return {lam: {keys[mu]: Fraction(str(c))
-                      for mu, c in payload[_pkey(lam)].items()}
-                for lam in lams}
-
-    return cached_table(f"pleth{series}", str(d), compute, encode, decode)
+    if series == "H":   # h_k(Omega_beta) = #{a >= 0: sum_i beta_i a_i = k}
+        counts = {}
+        for beta in partitions_up_to(d):
+            h = counts[beta] = [1] + [0] * d
+            for b in beta:
+                for k in range(b, d + 1):
+                    h[k] += h[k - b]
+        return {lam: _from_values(
+                    lambda beta: prod(counts[beta][j] for j in lam), d
+                ).terms for lam in partitions_of(d)}
+    s = invert_sigma(max(d, 1))   # invert_sigma needs cap >= 1
+    tail = _tails(s.expr, s.cap)
+    return {lam: _pleth_adjoint(homog(lam), tail, range(d + 1)).terms
+            for lam in partitions_of(d)}
 
 
 def _adjoint(f: SymExpr, series: str) -> SymExpr:

@@ -95,7 +95,11 @@ def test_unreadable_sources_store_no_answer(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("payload", [[1], "0\n", None,
                                      {"args": {}, "stderr": ""},
-                                     {"stdout": "0\n", "stderr": 7}])
+                                     {"stdout": "0\n", "stderr": 7},
+                                     {"sources": 1, "stdout": "0\n",
+                                      "stderr": ""},
+                                     {"sources": "", "stdout": ["0\n"],
+                                      "stderr": ""}])
 def test_a_malformed_answer_is_one_warning_and_a_recompute(payload,
                                                            tmp_path):
     want = _cli_run(CAPPED)

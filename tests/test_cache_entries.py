@@ -1,6 +1,5 @@
-"""Cache entries on disk: the exact bytes ``put`` writes, and a row entry
-whose checksum holds but whose payload is not the rows of its degree,
-which warns once and is recomputed and written again."""
+"""Cache entries on disk: the exact bytes ``put`` writes, and the one kind
+the CLI writes, its commands' answers."""
 
 import hashlib
 import json
@@ -9,10 +8,8 @@ import os
 import pytest
 
 from symcalc.cache import FORMAT_VERSION, PersistentCache
+from symcalc.cli import SECTIONS
 from test_answer_cache import _cli_run
-
-TABLE = ["tables", "--section", "h-on-tilde-h", "--max-degree", "2"]
-ROWS = {"1,1": {"1": "1", "1,1": "1"}, "2": {"1": "1", "2": "1"}}
 
 
 @pytest.mark.parametrize("kind, payload", [
@@ -30,16 +27,16 @@ def test_put_writes_one_encoding_of_the_payload(kind, payload, tmp_path):
     assert cache.get(kind, "3") == payload
 
 
-@pytest.mark.parametrize("payload", [
-    [1], {"2": {"2": "1"}}, {**ROWS, "2": {"1": "1", "2": "x"}},
-    {**ROWS, "2": {"1": "1", "2": "1/0"}}])
-def test_malformed_rows_are_one_warning_and_a_recompute(payload, tmp_path):
-    want = _cli_run(TABLE)
-    assert want[0] == 0 and want[2] == ""
-    cache = PersistentCache(tmp_path)
-    cache.put("plethH", "2", payload)   # a valid checksum, a bad payload
-    path = os.path.join(str(tmp_path), "plethH-2.json")
-    assert _cli_run(TABLE, tmp_path) == (
-        0, want[1],
-        f"WARNING symcalc.cache: cache entry {path} malformed; recomputing\n")
-    assert cache.get("plethH", "2") == ROWS
+def test_a_cli_directory_holds_only_answers(tmp_path):
+    commands = [["tables", "--section", section, "--max-degree", "4"]
+                for section in SECTIONS]
+    commands += [["reduced-kron", "--lambda", "2,1", "--mu", "1"],
+                 ["charpoly", "--lambda", "2,1"],
+                 ["eval", "th[2,1] + ts[2] + tx[1,1]"]]
+    for argv in commands:
+        code, _, err = _cli_run(argv, tmp_path)
+        assert (code, err) == (0, ""), argv
+    names = os.listdir(tmp_path)
+    assert len(names) == len(commands)
+    assert all(n.startswith("answer-") and n.endswith(".json")
+               for n in names), sorted(names)

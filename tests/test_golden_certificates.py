@@ -14,6 +14,12 @@ read from the file alone, so a wrong recording cannot pass as a snapshot.
   the columns th_mu* = sum_lam C[lam][mu] m_lam.  Likewise each column
   ts_mu* of ``tilde-s-dual`` is the column mu of ``schur-on-tilde-s``,
   s_lam = sum_mu A[lam][mu] ts_mu.
+- The A matrix is T^-1 on s_lam, T^-1 f = f^[<<1>>], read on the family
+  <mu> of stable irreducible characters: at n = 2|lam|, in the stable
+  range of every <mu> with |mu| <= |lam|, the inner plethysm of s_lam by
+  the permutation character h_{n-1,1} is sum_mu A[lam][mu] s_{(n-|mu|, mu)}
+  (Orellana-Zabrocki's character values as functions of eigenvalues).
+  This route runs no tilde code, and it certifies ``tilde-s-dual`` too.
 - A ``charpoly --lambda lam --format json`` record is the character
   polynomial Xi^lam on the binomial basis prod_i C(m_i, n_i); at the
   cycle type mu of every n with (n - |lam|, lam) a partition, it is the
@@ -21,7 +27,9 @@ read from the file alone, so a wrong recording cannot pass as a snapshot.
 - ``braid --n n`` prints the characters of H^i of the pure braid group
   P_n; their dimensions are the coefficients of Arnold's Poincare
   polynomial prod_{k=1}^{n-1} (1 + k t), H^0 is trivial, and for n >= 4
-  H^1 = s[n] + s[n-1,1] + s[n-2,2].
+  H^1 = s[n] + s[n-1,1] + s[n-2,2].  The characters themselves are those
+  of the generating function prod_k (1 + p_k)^{ell_k(t)}
+  (``test_braid_lehrer_solomon``).
 """
 
 import json
@@ -29,10 +37,12 @@ import re
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from symcalc.innerpleth import inner_plethysm
 from symcalc.partitions import multiplicities, partitions_of, partitions_up_to
-from symcalc.symfunc import mn_character
+from symcalc.symfunc import convert, homog, mn_character, schur
 
 from oracles import conjugate, vector_partition_count
+from test_braid_lehrer_solomon import _cli_text, _ref_braid_poincare
 from test_golden import PATH
 
 MAX_N = 9
@@ -139,6 +149,18 @@ def test_the_sections_printing_the_c_and_a_matrices_agree():
             assert column == columns[mu], (dual, mu)
 
 
+def test_schur_on_tilde_s_rows_are_inner_plethysms_by_perm_chars():
+    a = _table("schur-on-tilde-s", 7)
+    entries = 0
+    for lam, row in a.items():
+        n = 2 * sum(lam)
+        got = convert(inner_plethysm(schur(lam), homog([n - 1, 1])), "s")
+        assert got.terms == {(n - sum(mu),) + mu: c
+                             for mu, c in row.items()}, lam
+        entries += len(row)
+    assert (len(a), entries) == (44, 547)
+
+
 def _dimension(lam: tuple) -> int:
     """The number of standard tableaux of shape lam, by the hook lengths."""
     cols = conjugate(lam)
@@ -169,3 +191,11 @@ def test_braid_records_have_arnolds_betti_numbers():
         assert lines[0] == f"H^0: s[{n}]"
         if n >= 4:
             assert lines[1] == f"H^1: s[{n}] + s[{n - 1},1] + s[{n - 2},2]"
+
+
+def test_braid_records_are_the_generating_function_characters():
+    records = _records()
+    for n in range(1, 9):
+        record = records[("braid", "--n", str(n))]
+        assert record["exit"] == 0 and record["stderr"] == ""
+        assert record["stdout"] == _cli_text(_ref_braid_poincare(n), "text"), n
